@@ -562,6 +562,64 @@ fn por_schedule_count_known_answer() {
     assert!(por.counterexample.is_none());
 }
 
+/// Absolute known-answers for the parallel engine. Every other parallel
+/// pin compares thread counts against each other, so a refactor that moved
+/// the partition (split depth, publication levels, a prefix phase that
+/// starts probing a dedup table) would pass them all. Reported as
+/// `(schedules, dedup_hits, dedup_misses)`; the sequential triple differs
+/// from the parallel one because units probe private memos plus the
+/// entries published at the level barriers before them, and prefix nodes
+/// probe nothing.
+#[test]
+fn parallel_dedup_counters_known_answers() {
+    let kat = |config: ExhaustiveConfig, sequential: (usize, u64, u64), parallel| {
+        let seq = explore_all(&DvvMvrStore, &config, &mut |_| true);
+        assert_eq!(
+            (seq.schedules, seq.dedup_hits, seq.dedup_misses),
+            sequential,
+            "sequential {config:?}"
+        );
+        for threads in [1, 2, 8] {
+            let par = explore_all_parallel(
+                &DvvMvrStore,
+                &config,
+                &ParallelConfig::with_threads(threads),
+                &|_| true,
+            );
+            assert_eq!(
+                (par.schedules, par.dedup_hits, par.dedup_misses),
+                parallel,
+                "threads={threads} {config:?}"
+            );
+        }
+    };
+    let three_by_two = ExhaustiveConfig {
+        store_config: StoreConfig::new(3, 2),
+        dedup: true,
+        ..register_config(4)
+    };
+    kat(
+        ExhaustiveConfig {
+            por: true,
+            symmetry: true,
+            ..three_by_two.clone()
+        },
+        (6185, 902, 1474),
+        (6185, 1418, 2934),
+    );
+    kat(three_by_two, (28123, 2774, 4594), (28123, 5631, 8468));
+    kat(
+        ExhaustiveConfig {
+            store_config: StoreConfig::new(4, 1),
+            dedup: true,
+            por: true,
+            ..register_config(5)
+        },
+        (6059, 756, 3221),
+        (6059, 818, 4682),
+    );
+}
+
 /// Applies an action the same way the explorers do (without uniquification,
 /// which is irrelevant here since values are explicit).
 fn apply_action(sim: &mut Simulator, action: &Action, _step: usize) {
