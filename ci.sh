@@ -14,6 +14,14 @@ cargo build --release --locked --offline
 echo "== test (locked, offline) =="
 cargo test -q --workspace --locked --offline
 
+echo "== perfbench (outside the workspace: compile the frozen benchmark surface, run its unit tests) =="
+# BENCHMARK.json's program builds against explore_all, the
+# ExhaustiveConfig/ExhaustiveReport field lists, run_service and
+# StreamChecker; the workspace build above never sees it, so an API
+# change that breaks the benchmark would otherwise ship green. Not
+# --locked: perfbench/Cargo.lock is generated, not committed.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== clippy (locked, offline, deny warnings) =="
 cargo clippy --workspace --locked --offline -- -D warnings
 

@@ -36,7 +36,6 @@ use haec_core::{causal, check_correct, ObjectSpecs, SpecKind};
 use haec_model::{Op, StoreConfig, StoreFactory, Value};
 use haec_sim::exhaustive::{
     explore_all, explore_all_parallel, explore_all_replay, ExhaustiveConfig, ExhaustiveReport,
-    ParallelConfig,
 };
 use haec_sim::Simulator;
 use haec_stores::{
@@ -217,11 +216,13 @@ fn main() {
                     runs = n;
                 }
             }
-            "--threads" => {
-                if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                    thread_counts.push(n);
+            "--threads" => match haec_bench::threads_arg(args.next()) {
+                Ok(n) => thread_counts.push(n),
+                Err(usage) => {
+                    eprintln!("{usage}");
+                    std::process::exit(2);
                 }
-            }
+            },
             _ => {}
         }
     }
@@ -312,12 +313,7 @@ fn main() {
         // what lets cross-unit subtree hits land, and it keeps the stats
         // thread-invariant, so this is the configuration worth measuring.
         let par = run_engine(&format!("par-{t}"), runs, || {
-            explore_all_parallel(
-                &DvvMvrStore,
-                &dedup_config,
-                &ParallelConfig::with_threads(t),
-                &causal_check,
-            )
+            explore_all_parallel(&DvvMvrStore, &dedup_config, t, &causal_check)
         });
         assert_eq!(
             engine_runs[0].schedules, par.schedules,

@@ -47,11 +47,13 @@ fn main() {
                     runs = n;
                 }
             }
-            "--threads" => {
-                if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                    threads = n;
+            "--threads" => match haec_bench::threads_arg(args.next()) {
+                Ok(n) => threads = n,
+                Err(usage) => {
+                    eprintln!("{usage}");
+                    std::process::exit(2);
                 }
-            }
+            },
             _ => {}
         }
     }

@@ -734,6 +734,24 @@ pub fn all_experiments() -> Vec<Table> {
     ]
 }
 
+/// Parses the value of a bench's `--threads` flag: a positive integer.
+/// The parallel engines assert a nonzero thread count, so the CLI rejects
+/// 0 (and anything unparseable) here, with a usage message, instead of
+/// panicking inside the engine.
+///
+/// # Errors
+///
+/// Returns the usage message when the value is missing, not a number, or 0.
+pub fn threads_arg(value: Option<String>) -> Result<usize, String> {
+    match value.as_deref().map(str::parse::<usize>) {
+        Some(Ok(n)) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "usage: --threads N, with N a positive integer (got {})",
+            value.as_deref().unwrap_or("nothing")
+        )),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -793,6 +811,15 @@ mod tests {
     fn ablation_table_flags_bounded_store() {
         let s = ablation_table().render();
         assert!(s.contains("lossy"));
+    }
+
+    #[test]
+    fn threads_arg_accepts_positive_integers_only() {
+        assert_eq!(threads_arg(Some("4".into())), Ok(4));
+        for bad in [Some("0".to_owned()), Some("two".to_owned()), None] {
+            let msg = threads_arg(bad).unwrap_err();
+            assert!(msg.starts_with("usage: --threads N"), "{msg}");
+        }
     }
 
     #[test]

@@ -219,22 +219,20 @@ pub fn wall_clock_exempt(rel_path: &str) -> bool {
     )
 }
 
-/// The files sanctioned to use `std::thread`: the parallel explorer's
-/// worker pool and the service sweep driver. Their determinism comes from
-/// structure, not timing — the explorer's tree partition is a pure
-/// function of the config with results merged in canonical subtree order
-/// (pinned by `crates/sim/tests/explore_differential.rs`), and the
-/// service sweep runs share-nothing whole configs with results placed by
-/// config index (pinned by `crates/sim/tests/determinism.rs` across
-/// thread counts). Everywhere else `std::thread` stays an
-/// ambient-entropy lint: scheduling order is exactly the kind of
-/// run-to-run variance the contract bans.
+/// The one file sanctioned to use `std::thread`: the parallel explorer
+/// module, home of the index-placed `par_map` every fan-out in the
+/// workspace goes through (explorer worker pool, family sweep, service
+/// sweep). Its determinism comes from structure, not timing — results are
+/// placed by index, the explorer's tree partition is a pure function of
+/// the config with results merged in canonical subtree order (pinned by
+/// `crates/sim/tests/explore_differential.rs`), and the service sweep
+/// runs share-nothing whole configs (pinned by
+/// `crates/sim/tests/determinism.rs` across thread counts). Everywhere
+/// else `std::thread` stays an ambient-entropy lint: scheduling order is
+/// exactly the kind of run-to-run variance the contract bans.
 #[must_use]
 pub fn thread_exempt(rel_path: &str) -> bool {
-    matches!(
-        rel_path,
-        "crates/sim/src/exhaustive/parallel.rs" | "crates/sim/src/service.rs"
-    )
+    rel_path == "crates/sim/src/exhaustive/parallel.rs"
 }
 
 #[cfg(test)]
@@ -308,14 +306,13 @@ mod tests {
     }
 
     #[test]
-    fn thread_exemption_is_scoped_to_the_worker_pool_and_sweep_modules() {
+    fn thread_exemption_is_scoped_to_the_worker_pool_module() {
         assert!(thread_exempt("crates/sim/src/exhaustive/parallel.rs"));
-        assert!(thread_exempt("crates/sim/src/service.rs"));
+        assert!(!thread_exempt("crates/sim/src/service.rs"));
         assert!(!thread_exempt("crates/sim/src/exhaustive/mod.rs"));
         assert!(!thread_exempt("crates/sim/src/simulator.rs"));
         assert!(!thread_exempt("crates/core/src/spans.rs"));
         assert!(!thread_exempt("fixtures/thread_worker_pool_clean.rs"));
-        assert!(!thread_exempt("fixtures/service_sweep_clean.rs"));
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //! ## Engine
 //!
 //! The explorer walks the schedule tree depth-first, carrying one live
-//! [`Simulator`] along the current branch: it takes a [snapshot]
-//! (crate::simulator::SimSnapshot) at each interior node, applies one
-//! action per child edge, and restores the snapshot on backtrack. Each
-//! tree edge therefore costs O(state) instead of the O(depth × state)
-//! replay-from-scratch of the reference implementation, which is kept as
-//! [`explore_all_replay`] for differential testing.
+//! [`Simulator`] along the current branch: per child edge it captures a
+//! per-step undo record ([`Simulator::begin_step`]), applies the action,
+//! and undoes it on backtrack. Each tree edge therefore costs one machine
+//! clone instead of the O(depth × state) replay-from-scratch of the
+//! reference implementation, which is kept as [`explore_all_replay`] for
+//! differential testing. There is exactly one walker: the [`parallel`]
+//! engine cuts the tree into work units by running this same walker with
+//! a split depth set, then runs it again per unit.
 //!
 //! With [`ExhaustiveConfig::dedup`] enabled the explorer additionally
 //! memoises subtrees by *canonical global state*: a fingerprint of every
@@ -52,7 +54,7 @@
 //!   reported count: credits are count-preserving bijections, so
 //!   POR, POR+dedup and POR+dedup+symmetry all report the same count.
 
-use crate::obs::{Observer, Observers};
+use crate::obs::{NullObserver, Observer};
 use crate::simulator::Simulator;
 use haec_core::det::DetMap;
 use haec_model::{MsgId, ObjectId, Op, ReplicaId, StoreConfig, StoreFactory};
@@ -64,7 +66,7 @@ pub mod parallel;
 
 pub use parallel::{
     explore_all_parallel, explore_all_parallel_observed, explore_family_parallel,
-    explore_family_parallel_observed, ParallelConfig,
+    explore_family_parallel_observed,
 };
 
 /// One scheduler action in the enumeration.
@@ -223,19 +225,27 @@ impl ExhaustiveReport {
     }
 }
 
-/// Applies one action to the simulator, uniquifying written values by the
-/// schedule position `step` (shared by the replay reference and the
-/// incremental explorer so both produce identical executions).
+/// Uniquifies an operation's payload by its schedule position `step`:
+/// writes get `Value(1000 + step)`, set elements cycle through a pool of
+/// three. The one convention shared by the replay reference, the
+/// incremental explorer and scenario members
+/// ([`run_member`](crate::scenario::run_member)), so engines that perform
+/// the same steps produce identical executions.
+pub(crate) fn uniquify(op: &Op, step: usize) -> Op {
+    match op {
+        Op::Write(_) => Op::Write(Value(1000 + step as u64)),
+        Op::Add(_) => Op::Add(Value(1 + (step % 3) as u64)),
+        Op::Remove(_) => Op::Remove(Value(1 + (step % 3) as u64)),
+        other => other.clone(),
+    }
+}
+
+/// Applies one action to the simulator, [`uniquify`]ing written values by
+/// the schedule position `step`.
 fn apply(sim: &mut Simulator, action: &Action, step: usize) {
     match action {
         Action::Do(replica, obj, op) => {
-            let op = match op {
-                Op::Write(_) => Op::Write(Value(1000 + step as u64)),
-                Op::Add(_) => Op::Add(Value(1 + (step % 3) as u64)),
-                Op::Remove(_) => Op::Remove(Value(1 + (step % 3) as u64)),
-                other => other.clone(),
-            };
-            sim.do_op(*replica, *obj, op);
+            sim.do_op(*replica, *obj, uniquify(op, step));
         }
         Action::Flush(replica) => {
             sim.flush(*replica);
@@ -310,7 +320,7 @@ pub fn explore_all(
     config: &ExhaustiveConfig,
     check: &mut dyn FnMut(&Simulator) -> bool,
 ) -> ExhaustiveReport {
-    explore_all_observed(factory, config, check, &mut Observers::new())
+    explore_all_observed(factory, config, check, &mut NullObserver)
 }
 
 /// Like [`explore_all`], but reports search progress to `obs`:
@@ -347,7 +357,7 @@ pub fn explore_all_traced(
     check: &mut dyn FnMut(&Simulator) -> bool,
     trace: &mut dyn FnMut(&[Action]),
 ) -> ExhaustiveReport {
-    explore_all_inner(factory, config, check, &mut Observers::new(), Some(trace))
+    explore_all_inner(factory, config, check, &mut NullObserver, Some(trace))
 }
 
 /// Per-node schedule-prefix hook, as threaded through the DFS.
@@ -362,43 +372,17 @@ fn explore_all_inner<'a>(
 ) -> ExhaustiveReport {
     config.validate().expect("invalid ExhaustiveConfig");
     let mut sim = Simulator::new(factory, config.store_config);
-    let fps = (0..config.store_config.n_replicas)
-        .map(|r| sim.machine(ReplicaId::new(r as u32)).state_fingerprint())
-        .collect();
-    let sym = if config.symmetry {
-        Symmetry::try_new(&sim, config)
-    } else {
-        None
-    };
-    let mut dfs = Dfs {
-        config,
-        check,
-        obs,
-        schedules: 0,
-        counterexample: None,
-        prefix: Vec::new(),
-        queued: 1,
-        memo: DetMap::new(),
-        fps,
-        inflight_fp: inflight_fingerprint(&sim),
-        sym,
-        shared: None,
-        trace,
-        hits: 0,
-        misses: 0,
-        done: false,
-    };
+    let mut dfs = Dfs::new(config, &sim, check, obs);
+    dfs.trace = trace;
     dfs.visit(&mut sim, &[]);
-    ExhaustiveReport {
-        schedules: dfs.schedules,
-        counterexample: dfs.counterexample,
-        dedup_hits: dfs.hits,
-        dedup_misses: dfs.misses,
-    }
+    dfs.report()
 }
 
-/// The incremental depth-first explorer: one live simulator walked along
-/// the current branch, snapshot per interior node, restore per edge.
+/// The incremental depth-first explorer — the only tree walker: one live
+/// simulator walked along the current branch, one per-step undo per edge.
+/// The sequential engine runs it from the root; the parallel orchestrator
+/// runs it once over the prefix (with [`split`](Self::split) set) to cut
+/// the tree into work units, then once per unit.
 struct Dfs<'a> {
     config: &'a ExhaustiveConfig,
     check: &'a mut dyn FnMut(&Simulator) -> bool,
@@ -427,6 +411,12 @@ struct Dfs<'a> {
     /// Optional per-node hook receiving every visited schedule prefix
     /// (the coverage-completeness suite's window into the reduced tree).
     trace: Option<TraceHook<'a>>,
+    /// Prefix length at which a node becomes a work unit in `units`
+    /// instead of being visited. `usize::MAX` (never) except in the
+    /// parallel orchestrator's prefix phase.
+    split: usize,
+    /// The work units cut at `split`, in canonical (visit) order.
+    units: Vec<parallel::Unit>,
     hits: u64,
     misses: u64,
     done: bool,
@@ -434,9 +424,7 @@ struct Dfs<'a> {
 
 /// The possible next actions from the current state, in the order the
 /// replay reference visits them (it pushes onto a LIFO stack, so its
-/// visit order is the reverse of its push order). Shared by the
-/// incremental DFS and the parallel explorer's prefix walk so every
-/// engine enumerates the same canonical tree.
+/// visit order is the reverse of its push order).
 fn children(config: &ExhaustiveConfig, sim: &Simulator) -> Vec<Action> {
     let n_replicas = config.store_config.n_replicas;
     let n_objects = config.store_config.n_objects;
@@ -529,8 +517,6 @@ fn independent(a: SleepKey, b: SleepKey) -> bool {
 
 /// Prunes the sleeping children of a node in place (no-op with POR off)
 /// and returns the kept children's stable keys. `sleep` must be sorted.
-/// Shared by the sequential DFS and the parallel prefix walk so both
-/// reduce the same canonical tree.
 fn reduce_children(
     config: &ExhaustiveConfig,
     sim: &Simulator,
@@ -568,13 +554,16 @@ fn payload_content_hash(p: &haec_model::Payload) -> u64 {
     h.finish()
 }
 
-/// Branch-stable hash of a sleep set for the POR dedup key: per-entry
-/// hashes (Deliver entries by addressee + payload *content*), sorted so
-/// accumulation order cancels out. Two nodes with equal global fingerprint
-/// and equal sleep hash filter the same child multiset and therefore root
-/// equally-sized subtrees, which is what makes memoised counts reusable
-/// under POR.
-fn sleep_set_hash(sim: &Simulator, sleep: &[SleepKey]) -> u64 {
+/// Branch-stable per-entry hashes of a sleep set, sorted so accumulation
+/// order cancels out: replica ids pass through `replica` (the identity, or
+/// a symmetry renaming) and `Deliver` entries hash addressee +
+/// `payload(msg)` (a payload *content* fingerprint, plain or renamed)
+/// instead of the message id.
+fn sleep_entry_hashes(
+    sleep: &[SleepKey],
+    replica: impl Fn(u32) -> u32,
+    payload: impl Fn(MsgId) -> u64,
+) -> Vec<u64> {
     let mut entries: Vec<u64> = sleep
         .iter()
         .map(|k| {
@@ -582,22 +571,35 @@ fn sleep_set_hash(sim: &Simulator, sleep: &[SleepKey]) -> u64 {
             match *k {
                 SleepKey::Do(r, o, op) => {
                     0u8.hash(&mut eh);
-                    (r, o, op).hash(&mut eh);
+                    (replica(r), o, op).hash(&mut eh);
                 }
                 SleepKey::Flush(r) => {
                     1u8.hash(&mut eh);
-                    r.hash(&mut eh);
+                    replica(r).hash(&mut eh);
                 }
                 SleepKey::Deliver(m, to) => {
                     2u8.hash(&mut eh);
-                    to.hash(&mut eh);
-                    payload_content_hash(&sim.execution().message(m).payload).hash(&mut eh);
+                    replica(to).hash(&mut eh);
+                    payload(m).hash(&mut eh);
                 }
             }
             eh.finish()
         })
         .collect();
     entries.sort_unstable();
+    entries
+}
+
+/// Hash of a sleep set for the POR dedup key. Two nodes with equal global
+/// fingerprint and equal sleep hash filter the same child multiset and
+/// therefore root equally-sized subtrees, which is what makes memoised
+/// counts reusable under POR.
+fn sleep_set_hash(sim: &Simulator, sleep: &[SleepKey]) -> u64 {
+    let entries = sleep_entry_hashes(
+        sleep,
+        |r| r,
+        |m| payload_content_hash(&sim.execution().message(m).payload),
+    );
     let mut h = DefaultHasher::new();
     entries.hash(&mut h);
     h.finish()
@@ -747,41 +749,72 @@ impl Symmetry {
                 self.ren_fps[p][self.pinvs[p][j] as usize].hash(&mut h);
             }
             self.ren_inflight[p].hash(&mut h);
-            let mut entries: Vec<u64> = sleep
-                .iter()
-                .map(|k| {
-                    let mut eh = DefaultHasher::new();
-                    match *k {
-                        SleepKey::Do(r, o, op) => {
-                            0u8.hash(&mut eh);
-                            (perm[r as usize], o, op).hash(&mut eh);
-                        }
-                        SleepKey::Flush(r) => {
-                            1u8.hash(&mut eh);
-                            perm[r as usize].hash(&mut eh);
-                        }
-                        SleepKey::Deliver(m, to) => {
-                            2u8.hash(&mut eh);
-                            perm[to as usize].hash(&mut eh);
-                            let ck = payload_content_hash(&sim.execution().message(m).payload);
-                            self.payload_cache
-                                .get(&ck)
-                                .expect("sleeping message was in flight, hence cached")[p]
-                                .hash(&mut eh);
-                        }
-                    }
-                    eh.finish()
-                })
-                .collect();
-            entries.sort_unstable();
-            entries.hash(&mut h);
+            sleep_entry_hashes(
+                sleep,
+                |r| perm[r as usize],
+                |m| {
+                    let ck = payload_content_hash(&sim.execution().message(m).payload);
+                    self.payload_cache
+                        .get(&ck)
+                        .expect("sleeping message was in flight, hence cached")[p]
+                },
+            )
+            .hash(&mut h);
             best = best.min(h.finish());
         }
         best
     }
 }
 
-impl Dfs<'_> {
+impl<'a> Dfs<'a> {
+    /// A walker positioned on the root of a whole-tree exploration, with
+    /// its fingerprint caches primed from `sim`. The parallel engine
+    /// repositions it (`prefix`, `queued`) onto a unit's subtree and sets
+    /// `shared` / `split`; everything else starts the same everywhere.
+    fn new(
+        config: &'a ExhaustiveConfig,
+        sim: &Simulator,
+        check: &'a mut dyn FnMut(&Simulator) -> bool,
+        obs: &'a mut dyn Observer,
+    ) -> Dfs<'a> {
+        Dfs {
+            config,
+            check,
+            obs,
+            schedules: 0,
+            counterexample: None,
+            prefix: Vec::new(),
+            queued: 1,
+            memo: DetMap::new(),
+            fps: (0..config.store_config.n_replicas)
+                .map(|r| sim.machine(ReplicaId::new(r as u32)).state_fingerprint())
+                .collect(),
+            inflight_fp: inflight_fingerprint(sim),
+            sym: if config.symmetry {
+                Symmetry::try_new(sim, config)
+            } else {
+                None
+            },
+            shared: None,
+            trace: None,
+            split: usize::MAX,
+            units: Vec::new(),
+            hits: 0,
+            misses: 0,
+            done: false,
+        }
+    }
+
+    /// What the walk found, once [`visit`](Self::visit) has returned.
+    fn report(&mut self) -> ExhaustiveReport {
+        ExhaustiveReport {
+            schedules: self.schedules,
+            counterexample: self.counterexample.take(),
+            dedup_hits: self.hits,
+            dedup_misses: self.misses,
+        }
+    }
+
     /// The dedup key of the current state in its sleep context. With
     /// symmetry: the canonical (minimum-over-renamings) key. Without:
     /// the plain global fingerprint, folded with the sleep-set hash when
@@ -805,9 +838,24 @@ impl Dfs<'_> {
     /// Visits the node the simulator currently sits on, with the given
     /// sleep set (`&[]` at the root; must be sorted); returns the number
     /// of schedules in its subtree (meaningful only when the subtree was
-    /// fully explored, i.e. `!self.done`).
+    /// fully explored, i.e. `!self.done`, and not cut off at `split`).
     fn visit(&mut self, sim: &mut Simulator, sleep: &[SleepKey]) -> usize {
         self.queued -= 1;
+        if self.prefix.len() == self.split {
+            // Subtree root of the parallel partition: snapshot it into a
+            // work unit instead of descending. The sequential engine nets
+            // the frontier back to this `queued` once it finishes the
+            // subtree, so that is both the unit's offset and the walk's
+            // continuation value.
+            self.units.push(parallel::Unit {
+                prefix: self.prefix.clone(),
+                snap: sim.snapshot(),
+                offset: self.queued,
+                sleep: sleep.to_vec(),
+                nodes_before: self.schedules,
+            });
+            return 0;
+        }
         if self.schedules >= self.config.max_schedules || self.counterexample.is_some() {
             self.done = true;
             return 0;
@@ -844,7 +892,7 @@ impl Dfs<'_> {
             };
             // Each explorer action mutates exactly one replica's machine,
             // so a per-step undo (one machine clone, moved back afterwards)
-            // beats a full checkpoint of the whole cluster.
+            // beats a full snapshot of the whole cluster.
             let (touched, saves_inflight) = touched_by(sim, &action);
             let undo = sim.begin_step(touched, saves_inflight);
             apply(sim, &action, self.prefix.len());
@@ -998,7 +1046,7 @@ pub fn shrink(
     actions: &[Action],
     check: &mut dyn FnMut(&Simulator) -> bool,
 ) -> Vec<Action> {
-    shrink_observed(factory, config, actions, check, &mut Observers::new())
+    shrink_observed(factory, config, actions, check, &mut NullObserver)
 }
 
 /// Like [`shrink`], but reports each tried candidate schedule to `obs` via
@@ -1039,12 +1087,14 @@ pub fn shrink_observed(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use haec_core::{causal, check_correct, ObjectSpecs, SpecKind};
     use haec_stores::{BoundedStore, DvvMvrStore};
 
-    fn causal_check(sim: &Simulator) -> bool {
+    /// Correct (MVR) and causally consistent — the predicate the explorer,
+    /// parallel and family unit tests all check.
+    pub(crate) fn causal_check(sim: &Simulator) -> bool {
         let Ok(a) = sim.abstract_execution() else {
             return false;
         };

@@ -4,20 +4,20 @@
 //! explorer across a fixed worker pool. Determinism comes from structure,
 //! not timing:
 //!
-//! 1. **Split.** A sequential *prefix walk* enumerates the tree down to a
-//!    configurable `split_depth`, producing (a) the prefix nodes the
-//!    sequential engine would visit, in its exact pre-order, and (b) one
-//!    **work unit** per depth-`split_depth` subtree root: the action
-//!    prefix, a [`SimSnapshot`](crate::simulator::SimSnapshot) of the
-//!    simulator state there, and the frontier offset the sequential engine
-//!    would carry into that subtree. The partition is a pure function of
-//!    the config — no thread count, no clocks.
+//! 1. **Split.** The sequential walker itself (`Dfs::visit`, dedup off, a
+//!    buffering observer, its split hook set) walks the tree down to the
+//!    split depth, producing (a) the prefix nodes the sequential engine
+//!    would visit, in its exact pre-order, and (b) one **work unit** per
+//!    subtree root at that depth: the action prefix, a
+//!    [`SimSnapshot`](crate::simulator::SimSnapshot) of the simulator
+//!    state there, and the frontier offset and sleep set the sequential
+//!    engine would carry into that subtree. The partition is a pure
+//!    function of the config — no thread count, no clocks.
 //! 2. **Explore.** Workers drain the unit list **level by level**: units
-//!    are chunked in canonical order into levels of
-//!    [`ParallelConfig::level_width`], one `thread::scope` per level. Each
-//!    unit is explored by the *same* incremental DFS as the sequential
-//!    engine, on a private [`Simulator`](crate::simulator::Simulator)
-//!    rebuilt from the snapshot, with a private memo table, a forked
+//!    are chunked in canonical order into levels of `LEVEL_WIDTH`, one
+//!    [`par_map`] per level. Each unit is explored by the same `Dfs` on a
+//!    private [`Simulator`](crate::simulator::Simulator) rebuilt from the
+//!    snapshot, with a private memo table, a forked
 //!    ([`ForkJoinObserver::fork`]) observer — and, with dedup on, a
 //!    **shared cross-unit dedup table** ([`SharedTable`]) that workers
 //!    probe *read-only*. Between levels the orchestrator publishes every
@@ -38,13 +38,13 @@
 //! sequential engine exactly (memoisation never changes either), and the
 //! hit/miss *statistics* are **thread-invariant** too: a unit's probes see
 //! exactly its private memo plus the entries published at the level
-//! barriers before it ran, both pure functions of the config and split
-//! depth. (They can differ from the *sequential* engine's statistics —
-//! the level structure scores cross-unit hits the sequential table would
-//! score within one walk and vice versa; `split_depth = 0` degenerates to
-//! one unit, an empty shared table, and exact sequential semantics
-//! including statistics. `tests/determinism.rs` pins the run-report JSON,
-//! dedup counters included, byte-identical across thread counts.)
+//! barriers before it ran, both pure functions of the config. (They can
+//! differ from the *sequential* engine's statistics — the level structure
+//! scores cross-unit hits the sequential table would score within one walk
+//! and vice versa; a depth-1 tree is a single root unit with exact
+//! sequential statistics. `explore_differential` pins absolute parallel
+//! counters, and `tests/determinism.rs` the run-report JSON, dedup counters
+//! included, byte-identical across thread counts.)
 //!
 //! A finite [`max_schedules`](ExhaustiveConfig::max_schedules) cap is
 //! honoured at merge time with unit granularity: the reported count is
@@ -56,76 +56,83 @@
 //!
 //! This module is the one place in the workspace allowed to use
 //! `std::thread` — see `thread_exempt` in `haec-lint` and DESIGN.md §9 for
-//! the policy rationale.
+//! the policy rationale — so every fan-out (this worker pool, the family
+//! sweep, [`run_service_sweep`](crate::service::run_service_sweep)) goes
+//! through [`par_map`].
 
-use super::{
-    apply, child_sleep, children, inflight_fingerprint, reduce_children, touched_by, Action, Dfs,
-    ExhaustiveConfig, ExhaustiveReport, SleepKey, Symmetry,
-};
-use crate::obs::{ForkJoinObserver, Observer};
-use crate::scenario::{FamilyConfig, FamilyReport, Scenario};
+use super::{Action, Dfs, ExhaustiveConfig, ExhaustiveReport, SleepKey};
+use crate::obs::{ForkJoinObserver, NullObserver, Observer};
+use crate::scenario::{member_passes, sweep_family, FamilyConfig, FamilyReport, Scenario};
 use crate::simulator::{SimSnapshot, Simulator};
-use haec_core::det::DetMap;
-use haec_model::{ReplicaId, StoreFactory};
+use haec_model::StoreFactory;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Parameters of the parallel exploration, on top of an
-/// [`ExhaustiveConfig`].
-#[derive(Clone, Copy, Debug)]
-pub struct ParallelConfig {
-    /// Number of worker threads. Clamped to the number of work units (and
-    /// to at least 1). Must be nonzero. The *results* are identical for
-    /// every value; only wall-clock time changes.
-    pub threads: usize,
-    /// Prefix depth at which the schedule tree is split into work units:
-    /// `Some(d)` shards at depth `d` (clamped to the exploration depth),
-    /// `Some(0)` yields a single unit rooted at the empty schedule
-    /// (sequential semantics, including dedup statistics, on one worker),
-    /// and `None` picks `min(2, depth - 1)` — a few hundred units for
-    /// typical configs, enough to load-balance without snapshot overhead
-    /// dominating.
-    pub split_depth: Option<usize>,
-    /// Number of work units per publication level (see the module docs):
-    /// the shared dedup table gains the memo entries of levels `< L`
-    /// before any unit of level `L` runs. Smaller levels publish sooner
-    /// (more cross-unit hits) at the cost of more barriers; the value
-    /// changes dedup *statistics* (deterministically) but never counts,
-    /// counterexamples, or observer streams. Must be nonzero. Irrelevant
-    /// with dedup off.
-    pub level_width: usize,
-}
+/// Prefix depth at which the schedule tree is split into work units
+/// (clamped to `depth − 1`): depth 2 already yields a few hundred units
+/// for typical configs — enough to load-balance — and every level deeper
+/// multiplies the snapshots taken by the branching factor.
+const SPLIT_DEPTH: usize = 2;
 
-/// The default number of work units per shared-table publication level.
-pub const DEFAULT_LEVEL_WIDTH: usize = 64;
+/// Work units per publication level: the shared dedup table gains the memo
+/// entries of levels `< L` before any unit of level `L` runs. 64 keeps a
+/// pool of up to 8 workers busy between barriers while the few-hundred
+/// units of a typical config still publish several times.
+const LEVEL_WIDTH: usize = 64;
 
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig {
-            threads: 1,
-            split_depth: None,
-            level_width: DEFAULT_LEVEL_WIDTH,
-        }
+/// Maps `f` over `items` on up to `threads` scoped worker threads and
+/// returns the results **placed by index**: the output of the inline loop
+/// `items.iter().enumerate().map(f)`, for every thread count. Workers
+/// claim indices in increasing order; one worker runs inline.
+///
+/// # Panics
+///
+/// Panics if `threads` is zero — the crate's one thread-count contract.
+pub(crate) fn par_map<T: Sync, R: Send>(
+    threads: usize,
+    items: &[T],
+    f: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
+    assert!(threads > 0, "threads must be nonzero");
+    let workers = threads.min(items.len());
+    if workers <= 1 {
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-}
-
-impl ParallelConfig {
-    /// `threads` workers with the automatic split depth.
-    pub fn with_threads(threads: usize) -> Self {
-        ParallelConfig {
-            threads,
-            ..ParallelConfig::default()
-        }
+    let next = AtomicUsize::new(0);
+    let claimed: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        // SeqCst: the claim decides which worker computes
+                        // which index. Placement by index makes the output
+                        // the same either way, but the determinism gate
+                        // wants decision inputs totally ordered.
+                        let i = next.fetch_add(1, Ordering::SeqCst);
+                        if i >= items.len() {
+                            return mine;
+                        }
+                        mine.push((i, f(i, &items[i])));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("par_map worker panicked"))
+            .collect()
+    });
+    let mut placed: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    for (i, r) in claimed.into_iter().flatten() {
+        placed[i] = Some(r);
     }
-
-    /// The effective split depth for an exploration of `depth` steps.
-    fn split_for(&self, depth: usize) -> usize {
-        self.split_depth
-            .unwrap_or_else(|| depth.saturating_sub(1).min(2))
-            .min(depth)
-    }
+    placed
+        .into_iter()
+        .map(|r| r.expect("every index is claimed exactly once"))
+        .collect()
 }
 
 /// The cross-unit dedup table: a fixed-capacity, open-addressed hash map
@@ -213,127 +220,45 @@ impl SharedTable {
     }
 }
 
-/// One shard of the schedule tree: the subtree rooted at `prefix`.
-struct Unit {
-    prefix: Vec<Action>,
-    snap: SimSnapshot,
+/// One shard of the schedule tree: the subtree rooted at `prefix`, as cut
+/// by `Dfs::visit` at the split depth.
+pub(super) struct Unit {
+    pub(super) prefix: Vec<Action>,
+    pub(super) snap: SimSnapshot,
     /// The sequential engine's frontier (queued-but-unvisited prefixes)
     /// the moment it would visit this subtree's root. Workers start their
     /// frontier counter here so every `on_search_node` frontier value
     /// matches the sequential engine's global counter exactly.
-    offset: usize,
+    pub(super) offset: usize,
     /// The sleep set the sequential engine would carry into this subtree
     /// (sorted; empty with POR off). Message ids stay valid because the
     /// snapshot preserves the transcript they index.
-    sleep: Vec<SleepKey>,
+    pub(super) sleep: Vec<SleepKey>,
+    /// How many prefix nodes the sequential engine visits before this
+    /// subtree — the unit's position in the canonical merge.
+    pub(super) nodes_before: usize,
 }
 
-/// What the prefix walk buffers, in the sequential engine's pre-order.
-enum Item {
-    /// A prefix node the sequential engine visits itself (depth <
-    /// split): its observer event, and the schedule prefix if the
-    /// predicate failed there.
-    Node {
-        depth: usize,
-        frontier: usize,
-        cex: Option<Vec<Action>>,
-    },
-    /// The subtree of `units[i]`, explored by a worker.
-    Unit(usize),
+/// Buffers the prefix phase's `on_search_node` events as
+/// `(depth, frontier)`, so the merge can stop replaying exactly where the
+/// sequential engine would have stopped.
+struct NodeLog(Vec<(usize, usize)>);
+
+impl Observer for NodeLog {
+    fn on_search_node(&mut self, depth: usize, frontier: usize) {
+        self.0.push((depth, frontier));
+    }
 }
 
 /// The result of exploring one unit's subtree to exhaustion (or to its
 /// first counterexample).
 struct UnitResult<O> {
-    schedules: usize,
-    counterexample: Option<Vec<Action>>,
-    hits: u64,
-    misses: u64,
+    report: ExhaustiveReport,
     /// The unit's private memo entries `(fingerprint, remaining, count)`,
     /// in deterministic (BTree) key order — the orchestrator publishes
     /// these into the shared table at the next level barrier.
     inserts: Vec<(u64, usize, u64)>,
     obs: O,
-}
-
-/// Per-unit slot: workers take the work (unit + forked observer) and leave
-/// the result. One mutex per slot — never contended beyond the take/store
-/// pair.
-struct Slot<O> {
-    work: Option<(Unit, O)>,
-    result: Option<UnitResult<O>>,
-}
-
-/// Sequential enumeration of the tree down to the split depth. Mirrors
-/// `Dfs::visit` (same canonical child order, same uniquification, same
-/// frontier accounting) but buffers observer events instead of emitting
-/// them, so the merge can stop replaying exactly where the sequential
-/// engine would have stopped.
-struct PrefixWalk<'a> {
-    config: &'a ExhaustiveConfig,
-    check: &'a (dyn Fn(&Simulator) -> bool + Sync),
-    split: usize,
-    queued: usize,
-    items: Vec<Item>,
-    units: Vec<Unit>,
-    stopped: bool,
-}
-
-impl PrefixWalk<'_> {
-    fn visit(&mut self, sim: &mut Simulator, prefix: &mut Vec<Action>, sleep: &[SleepKey]) {
-        self.queued -= 1;
-        let failed = !(self.check)(sim);
-        self.items.push(Item::Node {
-            depth: prefix.len(),
-            frontier: self.queued,
-            cex: failed.then(|| prefix.clone()),
-        });
-        if failed {
-            self.stopped = true;
-            return;
-        }
-        let mut children = children(self.config, sim);
-        // Same POR reduction as `Dfs::visit`, so the partition shards the
-        // same (reduced) canonical tree the sequential engine walks.
-        let keys = reduce_children(self.config, sim, &mut children, sleep);
-        self.queued += children.len();
-        let mut done_keys: Vec<SleepKey> = Vec::new();
-        for (ci, action) in children.into_iter().enumerate() {
-            if self.stopped {
-                return;
-            }
-            let next_sleep: Vec<SleepKey> = if self.config.por {
-                child_sleep(sleep, &done_keys, keys[ci])
-            } else {
-                Vec::new()
-            };
-            let (touched, saves_inflight) = touched_by(sim, &action);
-            let undo = sim.begin_step(touched, saves_inflight);
-            apply(sim, &action, prefix.len());
-            prefix.push(action);
-            if prefix.len() == self.split {
-                // Subtree root: snapshot it into a work unit instead of
-                // descending. The sequential engine nets the frontier back
-                // to `queued - 1` once it finishes this subtree, so that is
-                // both the unit's offset and the walk's continuation value.
-                self.queued -= 1;
-                self.units.push(Unit {
-                    prefix: prefix.clone(),
-                    snap: sim.snapshot(),
-                    offset: self.queued,
-                    sleep: next_sleep,
-                });
-                self.items.push(Item::Unit(self.units.len() - 1));
-            } else {
-                self.visit(sim, prefix, &next_sleep);
-            }
-            prefix.pop();
-            sim.undo_step(undo);
-            if self.config.por {
-                done_keys.push(keys[ci]);
-            }
-        }
-    }
 }
 
 /// Explores one unit's subtree with the sequential engine's incremental
@@ -349,126 +274,45 @@ fn explore_unit<O: ForkJoinObserver>(
     mut obs: O,
 ) -> UnitResult<O> {
     let mut sim = Simulator::from_snapshot(factory, config.store_config, &unit.snap);
-    let fps = (0..config.store_config.n_replicas)
-        .map(|r| sim.machine(ReplicaId::new(r as u32)).state_fingerprint())
-        .collect();
-    let inflight_fp = inflight_fingerprint(&sim);
-    let sym = if config.symmetry {
-        Symmetry::try_new(&sim, config)
-    } else {
-        None
-    };
     let mut local_check = |sim: &Simulator| check(sim);
-    let mut dfs = Dfs {
-        config,
-        check: &mut local_check,
-        obs: &mut obs,
-        schedules: 0,
-        counterexample: None,
-        prefix: unit.prefix,
-        queued: unit.offset + 1,
-        memo: DetMap::new(),
-        fps,
-        inflight_fp,
-        sym,
-        shared: table,
-        trace: None,
-        hits: 0,
-        misses: 0,
-        done: false,
-    };
+    let mut dfs = Dfs::new(config, &sim, &mut local_check, &mut obs);
+    dfs.prefix = unit.prefix;
+    dfs.queued = unit.offset + 1;
+    dfs.shared = table;
     dfs.visit(&mut sim, &unit.sleep);
-    let schedules = dfs.schedules;
-    let counterexample = dfs.counterexample.take();
-    let hits = dfs.hits;
-    let misses = dfs.misses;
+    let report = dfs.report();
     let inserts = dfs
         .memo
         .iter()
         .map(|(&(fp, rem), &count)| (fp, rem, count as u64))
         .collect();
     UnitResult {
-        schedules,
-        counterexample,
-        hits,
-        misses,
+        report,
         inserts,
         obs,
     }
 }
 
-/// Worker loop over one publication level `[start, end)`: claim the next
-/// unclaimed unit of the level, explore it, store the result. Units
-/// canonically after a unit already known to hold a counterexample are
-/// skipped — the cex also stops the level loop before the next
-/// publication, so neither the merge nor a later level can observe the
-/// skip (or the timing-dependent set of in-level inserts it suppresses).
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<O: ForkJoinObserver>(
-    factory: &dyn StoreFactory,
-    config: &ExhaustiveConfig,
-    check: &(dyn Fn(&Simulator) -> bool + Sync),
-    table: Option<&SharedTable>,
-    slots: &[Mutex<Slot<O>>],
-    next: &AtomicUsize,
-    end: usize,
-    earliest_cex: &AtomicUsize,
-) {
-    loop {
-        // SeqCst throughout: these atomics decide which units are skipped
-        // and which counterexample cancels the sweep. The canonical-order
-        // merge makes the *results* thread-invariant either way, but the
-        // determinism gate (relaxed-ordering-decision) insists decision
-        // inputs are totally ordered rather than argued about.
-        let i = next.fetch_add(1, Ordering::SeqCst);
-        if i >= end {
-            return;
-        }
-        if earliest_cex.load(Ordering::SeqCst) < i {
-            continue;
-        }
-        let (unit, obs) = slots[i]
-            .lock()
-            .expect("worker poisoned a unit slot")
-            .work
-            .take()
-            .expect("unit claimed twice");
-        let result = explore_unit(factory, config, check, table, unit, obs);
-        if result.counterexample.is_some() {
-            earliest_cex.fetch_min(i, Ordering::SeqCst);
-        }
-        slots[i].lock().expect("worker poisoned a unit slot").result = Some(result);
-    }
-}
-
 /// Like [`explore_all`](super::explore_all), but shards the schedule tree
-/// across `par.threads` worker threads. The report is bit-identical to the
-/// sequential engine for every thread count (see the module docs for the
-/// exact dedup-statistics contract).
+/// across `threads` worker threads (clamped to the number of work units).
+/// The report is bit-identical to the sequential engine for every thread
+/// count (see the module docs for the exact dedup-statistics contract);
+/// only wall-clock time changes.
 ///
 /// Unlike the sequential entry points the predicate is `Fn + Sync`: it is
 /// evaluated concurrently from worker threads.
 ///
 /// # Panics
 ///
-/// Panics if `config` fails [`ExhaustiveConfig::validate`] or
-/// `par.threads` is zero.
+/// Panics if `config` fails [`ExhaustiveConfig::validate`] or `threads` is
+/// zero.
 pub fn explore_all_parallel(
     factory: &dyn StoreFactory,
     config: &ExhaustiveConfig,
-    par: &ParallelConfig,
+    threads: usize,
     check: &(dyn Fn(&Simulator) -> bool + Sync),
 ) -> ExhaustiveReport {
-    /// Discards every event; `fork` and `join` are trivially sound.
-    struct NullObserver;
-    impl Observer for NullObserver {}
-    impl ForkJoinObserver for NullObserver {
-        fn fork(&self) -> Self {
-            NullObserver
-        }
-        fn join(&mut self, _child: Self) {}
-    }
-    explore_all_parallel_observed(factory, config, par, check, &mut NullObserver)
+    explore_all_parallel_observed(factory, config, threads, check, &mut NullObserver)
 }
 
 /// Like [`explore_all_parallel`], but replays search progress into `obs`
@@ -478,104 +322,98 @@ pub fn explore_all_parallel(
 ///
 /// # Panics
 ///
-/// Panics if `config` fails [`ExhaustiveConfig::validate`] or
-/// `par.threads` is zero.
+/// Panics if `config` fails [`ExhaustiveConfig::validate`] or `threads` is
+/// zero.
 pub fn explore_all_parallel_observed<O: ForkJoinObserver + Send>(
     factory: &dyn StoreFactory,
     config: &ExhaustiveConfig,
-    par: &ParallelConfig,
+    threads: usize,
     check: &(dyn Fn(&Simulator) -> bool + Sync),
     obs: &mut O,
 ) -> ExhaustiveReport {
     config.validate().expect("invalid ExhaustiveConfig");
-    assert!(par.threads > 0, "ParallelConfig::threads must be nonzero");
-    assert!(
-        par.level_width > 0,
-        "ParallelConfig::level_width must be nonzero"
-    );
-    let split = par.split_for(config.depth);
-
-    // Phase 1: canonical partition of the tree into prefix items and work
-    // units. Pure function of `config` and `split`.
-    let mut walk = PrefixWalk {
-        config,
-        check,
-        split,
-        queued: 1,
-        items: Vec::new(),
-        units: Vec::new(),
-        stopped: false,
-    };
-    let mut sim = Simulator::new(factory, config.store_config);
-    if split == 0 {
-        walk.queued -= 1;
-        walk.units.push(Unit {
-            prefix: Vec::new(),
-            snap: sim.snapshot(),
-            offset: walk.queued,
-            sleep: Vec::new(),
-        });
-        walk.items.push(Item::Unit(0));
-    } else {
-        let mut prefix = Vec::new();
-        walk.visit(&mut sim, &mut prefix, &[]);
-    }
-    drop(sim);
-
-    // Phase 2: explore the units on a fixed worker pool. Workers own their
-    // unit's state outright; the only shared mutation is claiming work and
-    // depositing results, so timing cannot reach the data.
-    let slots: Vec<Mutex<Slot<O>>> = walk
-        .units
-        .drain(..)
-        .map(|unit| {
-            Mutex::new(Slot {
-                work: Some((unit, obs.fork())),
-                result: None,
-            })
-        })
-        .collect();
-    // Workers are uncapped: the global schedule budget is applied at merge
-    // time, where canonical order makes it deterministic.
+    assert!(threads > 0, "threads must be nonzero");
+    // Neither phase below applies the global schedule budget: it is applied
+    // at merge time, where canonical order makes it deterministic.
     let worker_config = ExhaustiveConfig {
         max_schedules: usize::MAX,
         ..config.clone()
     };
+
+    // Phase 1: canonical partition of the tree into prefix nodes and work
+    // units — the sequential walker with its split hook set and dedup off,
+    // so prefix nodes probe no table. Pure function of `config`.
+    let prefix_config = ExhaustiveConfig {
+        dedup: false,
+        symmetry: false,
+        ..worker_config.clone()
+    };
+    let mut nodes = NodeLog(Vec::new());
+    let (units, mut prefix_cex) = {
+        let mut sim = Simulator::new(factory, config.store_config);
+        let mut local_check = |sim: &Simulator| check(sim);
+        let mut walk = Dfs::new(&prefix_config, &sim, &mut local_check, &mut nodes);
+        walk.split = SPLIT_DEPTH.min(config.depth - 1);
+        walk.visit(&mut sim, &[]);
+        (
+            std::mem::take(&mut walk.units),
+            walk.report().counterexample,
+        )
+    };
+    let nodes = nodes.0;
+
+    // Phase 2: explore the units, one publication level at a time. Workers
+    // own their unit's state outright; the only shared mutation is claiming
+    // work, so timing cannot reach the data.
+    let positions: Vec<usize> = units.iter().map(|u| u.nodes_before).collect();
+    // One mutex per unit, never contended: it only moves the unit and its
+    // forked observer into whichever worker claims the index.
+    let work: Vec<Mutex<Option<(Unit, O)>>> = units
+        .into_iter()
+        .map(|unit| Mutex::new(Some((unit, obs.fork()))))
+        .collect();
     let table = config.dedup.then(SharedTable::new);
     let earliest_cex = AtomicUsize::new(usize::MAX);
-    let mut start = 0usize;
-    while start < slots.len() {
-        let end = (start + par.level_width).min(slots.len());
-        let next = AtomicUsize::new(start);
-        let threads = par.threads.min(end - start).max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    worker_loop(
-                        factory,
-                        &worker_config,
-                        check,
-                        table.as_ref(),
-                        &slots,
-                        &next,
-                        end,
-                        &earliest_cex,
-                    )
-                });
+    let mut results: Vec<Option<UnitResult<O>>> = Vec::with_capacity(work.len());
+    for level in work.chunks(LEVEL_WIDTH) {
+        let start = results.len();
+        // Units canonically after a unit already known to hold a
+        // counterexample are skipped — the cex also stops the level loop
+        // before the next publication, so neither the merge nor a later
+        // level can observe the skip (or the timing-dependent set of
+        // in-level inserts it suppresses).
+        //
+        // SeqCst throughout: these atomics decide which units are skipped
+        // and which counterexample cancels the sweep. The canonical-order
+        // merge makes the *results* thread-invariant either way, but the
+        // determinism gate (relaxed-ordering-decision) insists decision
+        // inputs are totally ordered rather than argued about.
+        results.extend(par_map(threads, level, |i, cell| {
+            let i = start + i;
+            if earliest_cex.load(Ordering::SeqCst) < i {
+                return None;
             }
-        });
+            let (unit, obs) = cell
+                .lock()
+                .expect("worker poisoned a unit cell")
+                .take()
+                .expect("unit claimed twice");
+            let result = explore_unit(factory, &worker_config, check, table.as_ref(), unit, obs);
+            if result.report.counterexample.is_some() {
+                earliest_cex.fetch_min(i, Ordering::SeqCst);
+            }
+            Some(result)
+        }));
         // A counterexample anywhere before the next level makes every
         // later unit unreachable by the canonical merge — stop without
         // publishing this level's (possibly skip-truncated) memo entries,
         // so the shared table never depends on in-level timing.
-        if earliest_cex.load(Ordering::SeqCst) < end {
+        if earliest_cex.load(Ordering::SeqCst) < results.len() {
             break;
         }
         if let Some(table) = &table {
-            for slot in &slots[start..end] {
-                let slot = slot.lock().expect("worker poisoned a unit slot");
-                let result = slot
-                    .result
+            for result in &results[start..] {
+                let result = result
                     .as_ref()
                     .expect("level barrier reached an unexplored unit");
                 for &(fp, rem, count) in &result.inserts {
@@ -583,63 +421,60 @@ pub fn explore_all_parallel_observed<O: ForkJoinObserver + Send>(
                 }
             }
         }
-        start = end;
     }
 
     // Phase 3: canonical-order merge. Replays the exact accounting of the
-    // sequential engine over buffered prefix nodes and whole units.
+    // sequential engine over buffered prefix nodes and whole units: unit
+    // `u` sits after `positions[u]` prefix nodes. The walker stops at a
+    // failing prefix node, so that node — if any — is the last one logged.
     let mut schedules = 0usize;
     let mut counterexample: Option<Vec<Action>> = None;
     let mut hits = 0u64;
     let mut misses = 0u64;
-    for item in walk.items {
-        if schedules >= config.max_schedules || counterexample.is_some() {
-            break;
-        }
-        match item {
-            Item::Node {
-                depth,
-                frontier,
-                cex,
-            } => {
-                obs.on_search_node(depth, frontier);
-                schedules += 1;
-                if cex.is_some() {
-                    counterexample = cex;
-                }
-            }
-            Item::Unit(i) => {
-                let result = slots[i]
-                    .lock()
-                    .expect("worker poisoned a unit slot")
-                    .result
-                    .take()
-                    .expect("canonical merge reached an unexplored unit");
-                let budget = config.max_schedules - schedules;
-                if result.schedules >= budget {
-                    // The cap lands inside this unit. A counterexample
-                    // counts only if the sequential engine would still
-                    // have reached it: its in-unit position is the unit's
-                    // schedule count (the DFS stops at the failure).
-                    if result.counterexample.is_some() && result.schedules == budget {
-                        counterexample = result.counterexample;
-                        schedules += result.schedules;
-                    } else if config.dedup {
-                        // Whole-subtree credits already overshoot the cap
-                        // in the sequential engine; unit granularity is
-                        // the parallel analogue.
-                        schedules += result.schedules;
-                    } else {
-                        schedules = config.max_schedules;
-                    }
+    let mut replayed = 0usize;
+    let mut next_unit = 0usize;
+    while schedules < config.max_schedules && counterexample.is_none() {
+        if positions.get(next_unit) == Some(&replayed) {
+            let result = results[next_unit]
+                .take()
+                .expect("canonical merge reached an unexplored unit");
+            next_unit += 1;
+            let UnitResult {
+                report, obs: child, ..
+            } = result;
+            let budget = config.max_schedules - schedules;
+            if report.schedules >= budget {
+                // The cap lands inside this unit. A counterexample
+                // counts only if the sequential engine would still
+                // have reached it: its in-unit position is the unit's
+                // schedule count (the DFS stops at the failure).
+                if report.counterexample.is_some() && report.schedules == budget {
+                    counterexample = report.counterexample;
+                    schedules += report.schedules;
+                } else if config.dedup {
+                    // Whole-subtree credits already overshoot the cap
+                    // in the sequential engine; unit granularity is
+                    // the parallel analogue.
+                    schedules += report.schedules;
                 } else {
-                    schedules += result.schedules;
-                    counterexample = result.counterexample;
+                    schedules = config.max_schedules;
                 }
-                hits += result.hits;
-                misses += result.misses;
-                obs.join(result.obs);
+            } else {
+                schedules += report.schedules;
+                counterexample = report.counterexample;
             }
+            hits += report.dedup_hits;
+            misses += report.dedup_misses;
+            obs.join(child);
+        } else if let Some(&(depth, frontier)) = nodes.get(replayed) {
+            replayed += 1;
+            obs.on_search_node(depth, frontier);
+            schedules += 1;
+            if replayed == nodes.len() {
+                counterexample = prefix_cex.take();
+            }
+        } else {
+            break;
         }
     }
     ExhaustiveReport {
@@ -650,14 +485,14 @@ pub fn explore_all_parallel_observed<O: ForkJoinObserver + Send>(
     }
 }
 
-/// Parallel twin of [`explore_family`](crate::scenario::explore_family):
-/// the members to run are a pure function of `(scenario, config)`, each
-/// member's verdict is computed on a private simulator, and the sweep has
-/// no early exit — so sharding members across `threads` workers changes
-/// nothing observable. The report (including
-/// [`cap_hit`](crate::scenario::FamilyReport::cap_hit) accounting and the
-/// canonical-first counterexample) is bit-identical for every thread
-/// count.
+/// The family sweep ([`explore_family`](crate::scenario::explore_family))
+/// with member verdicts computed on up to `threads` workers: the members
+/// to run are a pure function of `(scenario, config)`, each member's
+/// verdict is computed on a private simulator, and the sweep has no early
+/// exit — so sharding members changes nothing observable. The report
+/// (including [`cap_hit`](crate::scenario::FamilyReport::cap_hit)
+/// accounting and the canonical-first counterexample) is bit-identical for
+/// every thread count.
 ///
 /// # Panics
 ///
@@ -672,8 +507,6 @@ pub fn explore_family_parallel(
     scenario: &Scenario,
     check: &(dyn Fn(&Simulator) -> bool + Sync),
 ) -> FamilyReport {
-    struct NullObserver;
-    impl Observer for NullObserver {}
     explore_family_parallel_observed(
         factory,
         config,
@@ -706,75 +539,21 @@ pub fn explore_family_parallel_observed<O: Observer>(
     check: &(dyn Fn(&Simulator) -> bool + Sync),
     obs: &mut O,
 ) -> FamilyReport {
-    config.validate().expect("invalid FamilyConfig");
-    assert!(threads > 0, "threads must be nonzero");
-    let members = scenario.iter_to_depth(config.depth);
-    let enumerated = members.len();
-    let run = enumerated.min(config.max_members);
-    let to_run = &members[..run];
-
-    // Phase 1: verdicts, sharded by contiguous chunk. Each worker owns its
-    // simulators outright; results are collected in spawn (= canonical)
-    // order, so wall-clock interleaving cannot reach them.
-    let chunk = run.div_ceil(threads).max(1);
-    let verdicts: Vec<bool> = std::thread::scope(|scope| {
-        let handles: Vec<_> = to_run
-            .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move || {
-                    part.iter()
-                        .map(|member| {
-                            let mut sim = Simulator::new(factory, config.store_config);
-                            crate::scenario::run_member(&mut sim, member);
-                            check(&sim)
-                        })
-                        .collect::<Vec<bool>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("family worker panicked"))
-            .collect()
-    });
-
-    // Phase 2: canonical-order merge — identical accounting to the
-    // sequential sweep.
-    let mut failures = 0;
-    let mut counterexample = None;
-    for (member, &passed) in to_run.iter().zip(&verdicts) {
-        obs.on_family_member(name, member.len(), passed);
-        if !passed {
-            failures += 1;
-            if counterexample.is_none() {
-                counterexample = Some(member.clone());
-            }
-        }
-    }
-    FamilyReport {
-        family: name.to_owned(),
-        enumerated,
-        run,
-        cap_hit: enumerated > config.max_members,
-        failures,
-        counterexample,
-    }
+    sweep_family(config, name, scenario, obs, |members| {
+        par_map(threads, members, |_, member| {
+            member_passes(factory, config, member, &mut |sim| check(sim))
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::causal_check;
     use super::super::{explore_all, explore_all_observed, ExhaustiveConfig};
     use super::*;
     use crate::obs::stats::StatsObserver;
-    use haec_core::{causal, check_correct, ObjectSpecs, SpecKind};
+    use haec_core::SpecKind;
     use haec_stores::{BoundedStore, DvvMvrStore};
-
-    fn causal_check(sim: &Simulator) -> bool {
-        let Ok(a) = sim.abstract_execution() else {
-            return false;
-        };
-        check_correct(&a, &ObjectSpecs::uniform(SpecKind::Mvr)).is_ok() && causal::check(&a).is_ok()
-    }
 
     fn depth_config(depth: usize) -> ExhaustiveConfig {
         ExhaustiveConfig {
@@ -789,12 +568,7 @@ mod tests {
         let config = depth_config(4);
         let sequential = explore_all(&DvvMvrStore, &config, &mut causal_check);
         for threads in [1, 2, 3, 8] {
-            let par = explore_all_parallel(
-                &DvvMvrStore,
-                &config,
-                &ParallelConfig::with_threads(threads),
-                &causal_check,
-            );
+            let par = explore_all_parallel(&DvvMvrStore, &config, threads, &causal_check);
             assert_eq!(par.schedules, sequential.schedules, "threads={threads}");
             assert_eq!(par.counterexample, sequential.counterexample);
             assert_eq!(par.dedup_hits, 0);
@@ -803,24 +577,16 @@ mod tests {
     }
 
     #[test]
-    fn split_zero_degenerates_to_exact_sequential_semantics() {
-        // One unit rooted at the empty schedule: even the dedup statistics
-        // must match the sequential engine's global table.
+    fn depth_one_tree_is_one_root_unit_with_exact_sequential_semantics() {
+        // `min(SPLIT_DEPTH, depth - 1)` is 0 at depth 1: the root itself is
+        // the only unit, so even the dedup statistics must match the
+        // sequential engine's global table.
         let config = ExhaustiveConfig {
             dedup: true,
-            ..depth_config(4)
+            ..depth_config(1)
         };
         let sequential = explore_all(&DvvMvrStore, &config, &mut causal_check);
-        let par = explore_all_parallel(
-            &DvvMvrStore,
-            &config,
-            &ParallelConfig {
-                threads: 2,
-                split_depth: Some(0),
-                ..ParallelConfig::default()
-            },
-            &causal_check,
-        );
+        let par = explore_all_parallel(&DvvMvrStore, &config, 2, &causal_check);
         assert_eq!(par.schedules, sequential.schedules);
         assert_eq!(par.counterexample, sequential.counterexample);
         assert_eq!(par.dedup_hits, sequential.dedup_hits);
@@ -834,22 +600,12 @@ mod tests {
             ..depth_config(4)
         };
         let sequential = explore_all(&DvvMvrStore, &config, &mut causal_check);
-        let baseline = explore_all_parallel(
-            &DvvMvrStore,
-            &config,
-            &ParallelConfig::with_threads(1),
-            &causal_check,
-        );
+        let baseline = explore_all_parallel(&DvvMvrStore, &config, 1, &causal_check);
         assert_eq!(baseline.schedules, sequential.schedules);
         assert_eq!(baseline.counterexample, sequential.counterexample);
         assert!(baseline.dedup_misses > 0, "units never probe their tables?");
         for threads in [2, 8] {
-            let par = explore_all_parallel(
-                &DvvMvrStore,
-                &config,
-                &ParallelConfig::with_threads(threads),
-                &causal_check,
-            );
+            let par = explore_all_parallel(&DvvMvrStore, &config, threads, &causal_check);
             assert_eq!(par.schedules, baseline.schedules);
             assert_eq!(par.counterexample, baseline.counterexample);
             assert_eq!(par.dedup_hits, baseline.dedup_hits, "threads={threads}");
@@ -861,7 +617,7 @@ mod tests {
     fn reduced_engines_match_sequential_for_every_thread_count() {
         // POR and POR+symmetry shard across the same canonical (reduced)
         // tree: schedule counts and counterexample verdicts must match the
-        // sequential reduced engine at every thread count and level width.
+        // sequential reduced engine at every thread count.
         for (por, symmetry, dedup) in [(true, false, false), (true, true, true)] {
             let config = ExhaustiveConfig {
                 por,
@@ -871,82 +627,14 @@ mod tests {
             };
             let sequential = explore_all(&DvvMvrStore, &config, &mut causal_check);
             for threads in [1, 2, 8] {
-                for level_width in [1, 3, DEFAULT_LEVEL_WIDTH] {
-                    let par = explore_all_parallel(
-                        &DvvMvrStore,
-                        &config,
-                        &ParallelConfig {
-                            threads,
-                            split_depth: None,
-                            level_width,
-                        },
-                        &causal_check,
-                    );
-                    assert_eq!(
-                        par.schedules, sequential.schedules,
-                        "por={por} symmetry={symmetry} threads={threads} width={level_width}"
-                    );
-                    assert_eq!(par.counterexample, sequential.counterexample);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn shared_table_stats_are_thread_invariant_per_level_width() {
-        // The dedup statistics are a pure function of (config, split,
-        // level_width): changing the thread count must not move a single
-        // hit or miss, for narrow and wide levels alike.
-        let config = ExhaustiveConfig {
-            dedup: true,
-            ..depth_config(4)
-        };
-        for level_width in [1, 2, DEFAULT_LEVEL_WIDTH] {
-            let baseline = explore_all_parallel(
-                &DvvMvrStore,
-                &config,
-                &ParallelConfig {
-                    threads: 1,
-                    split_depth: None,
-                    level_width,
-                },
-                &causal_check,
-            );
-            for threads in [2, 8] {
-                let par = explore_all_parallel(
-                    &DvvMvrStore,
-                    &config,
-                    &ParallelConfig {
-                        threads,
-                        split_depth: None,
-                        level_width,
-                    },
-                    &causal_check,
-                );
-                assert_eq!(par.schedules, baseline.schedules);
-                assert_eq!(par.counterexample, baseline.counterexample);
+                let par = explore_all_parallel(&DvvMvrStore, &config, threads, &causal_check);
                 assert_eq!(
-                    par.dedup_hits, baseline.dedup_hits,
-                    "threads={threads} width={level_width}"
+                    par.schedules, sequential.schedules,
+                    "por={por} symmetry={symmetry} threads={threads}"
                 );
-                assert_eq!(par.dedup_misses, baseline.dedup_misses);
+                assert_eq!(par.counterexample, sequential.counterexample);
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "level_width must be nonzero")]
-    fn zero_level_width_panics() {
-        explore_all_parallel(
-            &DvvMvrStore,
-            &ExhaustiveConfig::default(),
-            &ParallelConfig {
-                threads: 1,
-                split_depth: None,
-                level_width: 0,
-            },
-            &|_| true,
-        );
     }
 
     #[test]
@@ -961,12 +649,7 @@ mod tests {
         };
         let sequential = explore_all(&BoundedStore, &config, &mut causal_check);
         for threads in [1, 4] {
-            let par = explore_all_parallel(
-                &BoundedStore,
-                &config,
-                &ParallelConfig::with_threads(threads),
-                &causal_check,
-            );
+            let par = explore_all_parallel(&BoundedStore, &config, threads, &causal_check);
             assert_eq!(par.schedules, sequential.schedules);
             assert_eq!(par.counterexample, sequential.counterexample);
         }
@@ -982,7 +665,7 @@ mod tests {
             let par = explore_all_parallel_observed(
                 &DvvMvrStore,
                 &config,
-                &ParallelConfig::with_threads(threads),
+                threads,
                 &causal_check,
                 &mut par_stats,
             );
@@ -1010,7 +693,7 @@ mod tests {
             let par = explore_all_parallel_observed(
                 &DvvMvrStore,
                 &config,
-                &ParallelConfig::with_threads(threads),
+                threads,
                 &causal_check,
                 &mut par_obs,
             );
@@ -1029,39 +712,9 @@ mod tests {
         let sequential = explore_all(&DvvMvrStore, &config, &mut |_| true);
         assert_eq!(sequential.schedules, 500);
         for threads in [1, 2, 8] {
-            let par = explore_all_parallel(
-                &DvvMvrStore,
-                &config,
-                &ParallelConfig::with_threads(threads),
-                &|_| true,
-            );
+            let par = explore_all_parallel(&DvvMvrStore, &config, threads, &|_| true);
             assert_eq!(par.schedules, 500, "threads={threads}");
             assert_eq!(par.counterexample, None);
-        }
-    }
-
-    #[test]
-    fn explicit_split_depths_agree() {
-        let config = depth_config(4);
-        let auto = explore_all_parallel(
-            &DvvMvrStore,
-            &config,
-            &ParallelConfig::with_threads(2),
-            &causal_check,
-        );
-        for split in [0, 1, 2, 3, 4, 9] {
-            let par = explore_all_parallel(
-                &DvvMvrStore,
-                &config,
-                &ParallelConfig {
-                    threads: 2,
-                    split_depth: Some(split),
-                    ..ParallelConfig::default()
-                },
-                &causal_check,
-            );
-            assert_eq!(par.schedules, auto.schedules, "split={split}");
-            assert_eq!(par.counterexample, auto.counterexample);
         }
     }
 
@@ -1152,31 +805,51 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "threads must be nonzero")]
-    fn family_zero_threads_panics() {
-        use crate::scenario::{dup_storm, FamilyConfig};
-        explore_family_parallel(
-            &DvvMvrStore,
-            &FamilyConfig::default(),
-            0,
-            "dup",
-            &dup_storm(SpecKind::Mvr),
-            &|_| true,
-        );
+    fn par_map_places_results_by_index_for_every_thread_count() {
+        let items: Vec<usize> = (0..100).collect();
+        let inline: Vec<usize> = items.iter().map(|x| x * x).collect();
+        for threads in [1, 2, 3, 8, 200] {
+            let mapped = par_map(threads, &items, |i, &x| {
+                assert_eq!(i, x, "index passed to f is the item's position");
+                x * x
+            });
+            assert_eq!(mapped, inline, "threads={threads}");
+        }
+        assert_eq!(par_map(4, &[] as &[usize], |_, &x| x), Vec::<usize>::new());
     }
 
     #[test]
-    #[should_panic(expected = "threads must be nonzero")]
-    fn zero_threads_panics() {
-        explore_all_parallel(
-            &DvvMvrStore,
-            &ExhaustiveConfig::default(),
-            &ParallelConfig {
-                threads: 0,
-                split_depth: None,
-                ..ParallelConfig::default()
-            },
-            &|_| true,
-        );
+    fn zero_threads_is_rejected_by_every_fan_out() {
+        // One contract, asserted in `par_map` (and up front by the explorer,
+        // which may cut zero units): every entry point that takes a thread
+        // count panics on 0 rather than treating it as 1.
+        use crate::scenario::{dup_storm, FamilyConfig};
+        use crate::service::{run_service_sweep, ServiceRunConfig};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let rejects = |what: &str, f: &dyn Fn()| {
+            let panic = catch_unwind(AssertUnwindSafe(f)).expect_err(what);
+            let msg = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(msg.contains("threads must be nonzero"), "{what}: {msg}");
+        };
+        rejects("par_map", &|| {
+            par_map(0, &[1u8], |_, &x| x);
+        });
+        rejects("explore_all_parallel", &|| {
+            explore_all_parallel(&DvvMvrStore, &ExhaustiveConfig::default(), 0, &|_| true);
+        });
+        rejects("explore_family_parallel", &|| {
+            explore_family_parallel(
+                &DvvMvrStore,
+                &FamilyConfig::default(),
+                0,
+                "dup",
+                &dup_storm(SpecKind::Mvr),
+                &|_| true,
+            );
+        });
+        rejects("run_service_sweep", &|| {
+            run_service_sweep(&DvvMvrStore, &[ServiceRunConfig::default()], 0);
+        });
     }
 }

@@ -42,7 +42,7 @@ pub use classify::{classify, grade, HIERARCHY};
 pub use convergence::check_quiescent_agreement;
 pub use exhaustive::{
     explore_all, explore_all_observed, explore_all_parallel, explore_all_parallel_observed, shrink,
-    shrink_observed, Action, ExhaustiveConfig, ExhaustiveReport, ParallelConfig,
+    shrink_observed, Action, ExhaustiveConfig, ExhaustiveReport,
 };
 pub use explorer::{explore, explore_with, ConsistencyReport, ExplorationConfig};
 pub use liveness::{fair_run, fair_run_with, FairRunConfig, LivenessReport};

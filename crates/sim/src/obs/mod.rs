@@ -205,6 +205,19 @@ pub trait ForkJoinObserver: Observer + Sized {
     fn join(&mut self, child: Self);
 }
 
+/// Discards every event; `fork` and `join` are trivially sound. What the
+/// un-observed exploration entry points pass to their `_observed` forms.
+pub(crate) struct NullObserver;
+
+impl Observer for NullObserver {}
+
+impl ForkJoinObserver for NullObserver {
+    fn fork(&self) -> Self {
+        NullObserver
+    }
+    fn join(&mut self, _child: Self) {}
+}
+
 /// Fan-out to any number of boxed observers, itself an [`Observer`].
 #[derive(Default)]
 pub struct Observers {
@@ -452,9 +465,7 @@ mod tests {
 
     #[test]
     fn default_hooks_are_noops() {
-        struct Nop;
-        impl Observer for Nop {}
-        let mut n = Nop;
+        let mut n = NullObserver;
         n.on_quiesce(1, true);
         n.on_partition_change(0, true);
         n.on_state_sample(0, 0);

@@ -6,15 +6,17 @@
 //! [`max_members`](FamilyConfig::max_members) cap) on a fresh simulator,
 //! classifying each with the caller's predicate. Unlike the schedule-tree
 //! DFS it is a **sweep** — it never stops at the first failure. That
-//! choice is what makes the parallel twin
+//! choice is what makes the sweep one implementation (verdicts, then a
+//! canonical-order merge) whose parallel form
 //! ([`explore_family_parallel`](crate::exhaustive::explore_family_parallel))
-//! trivially bit-identical for every thread count: every member's verdict
-//! is computed unconditionally, the cap truncates the *enumeration* (a
-//! pure function of the scenario), and the counterexample is defined as
-//! the first failing member in canonical order, not the first found.
+//! is trivially bit-identical for every thread count: every member's
+//! verdict is computed unconditionally, the cap truncates the
+//! *enumeration* (a pure function of the scenario), and the counterexample
+//! is defined as the first failing member in canonical order, not the
+//! first found.
 
 use super::{run_member, Pat, Scenario};
-use crate::obs::Observer;
+use crate::obs::{NullObserver, Observer};
 use crate::simulator::Simulator;
 use haec_model::{StoreConfig, StoreFactory};
 use std::fmt;
@@ -116,8 +118,6 @@ pub fn explore_family(
     scenario: &Scenario,
     check: &mut dyn FnMut(&Simulator) -> bool,
 ) -> FamilyReport {
-    struct NullObserver;
-    impl Observer for NullObserver {}
     explore_family_observed(factory, config, name, scenario, check, &mut NullObserver)
 }
 
@@ -135,16 +135,47 @@ pub fn explore_family_observed<O: Observer>(
     check: &mut dyn FnMut(&Simulator) -> bool,
     obs: &mut O,
 ) -> FamilyReport {
+    sweep_family(config, name, scenario, obs, |members| {
+        members
+            .iter()
+            .map(|member| member_passes(factory, config, member, check))
+            .collect()
+    })
+}
+
+/// One member's verdict: drive it on a fresh simulator, then `check`.
+pub(crate) fn member_passes(
+    factory: &dyn StoreFactory,
+    config: &FamilyConfig,
+    member: &[Pat],
+    check: &mut dyn FnMut(&Simulator) -> bool,
+) -> bool {
+    let mut sim = Simulator::new(factory, config.store_config);
+    run_member(&mut sim, member);
+    check(&sim)
+}
+
+/// The family sweep, once: enumerate, truncate to the cap, take one
+/// verdict per member from `verdicts` (computed inline here, on the worker
+/// pool by [`explore_family_parallel`](crate::exhaustive::explore_family_parallel)),
+/// then merge in canonical order. Observer hooks, the failure count and
+/// the first failing member all come from the merge, so how the verdicts
+/// were computed cannot reach the report.
+pub(crate) fn sweep_family<O: Observer>(
+    config: &FamilyConfig,
+    name: &str,
+    scenario: &Scenario,
+    obs: &mut O,
+    verdicts: impl FnOnce(&[Vec<Pat>]) -> Vec<bool>,
+) -> FamilyReport {
     config.validate().expect("invalid FamilyConfig");
     let members = scenario.iter_to_depth(config.depth);
     let enumerated = members.len();
     let run = enumerated.min(config.max_members);
+    let to_run = &members[..run];
     let mut failures = 0;
     let mut counterexample = None;
-    for member in &members[..run] {
-        let mut sim = Simulator::new(factory, config.store_config);
-        run_member(&mut sim, member);
-        let passed = check(&sim);
+    for (member, passed) in to_run.iter().zip(verdicts(to_run)) {
         obs.on_family_member(name, member.len(), passed);
         if !passed {
             failures += 1;
@@ -166,17 +197,11 @@ pub fn explore_family_observed<O: Observer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exhaustive::tests::causal_check;
     use crate::obs::stats::StatsObserver;
     use crate::scenario::{concurrent_write_pair, ScenarioFilter};
-    use haec_core::{causal, check_correct, ObjectSpecs, SpecKind};
+    use haec_core::SpecKind;
     use haec_stores::DvvMvrStore;
-
-    fn causal_check(sim: &Simulator) -> bool {
-        let Ok(a) = sim.abstract_execution() else {
-            return false;
-        };
-        check_correct(&a, &ObjectSpecs::uniform(SpecKind::Mvr)).is_ok() && causal::check(&a).is_ok()
-    }
 
     #[test]
     fn sweep_counts_and_cap_accounting() {

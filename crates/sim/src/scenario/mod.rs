@@ -64,6 +64,7 @@ mod run;
 pub use family::{
     explore_family, explore_family_observed, FamilyConfig, FamilyConfigError, FamilyReport,
 };
+pub(crate) use family::{member_passes, sweep_family};
 pub use filter::ScenarioFilter;
 pub use fixtures::{concurrent_write_pair, dup_storm, heal_before_quiesce, update_op};
 pub use run::run_member;

@@ -1,18 +1,19 @@
 //! Driving a scenario member against a live simulator.
 
 use super::Pat;
+use crate::exhaustive::uniquify;
 use crate::simulator::Simulator;
-use haec_model::{Op, ReplicaId, Value};
+use haec_model::ReplicaId;
 
 /// Runs one hole-free member against `sim`, one pattern per step.
 ///
 /// Semantics:
 ///
-/// - `Op` patterns uniquify their payload by step position with the
-///   **same** convention as the exhaustive engine's `apply` (writes get
-///   `Value(1000 + step)`, set elements cycle through a pool of three),
-///   so family members and exhaustive schedules that perform the same
-///   steps produce identical executions.
+/// - `Op` patterns uniquify their payload by step position through the
+///   exhaustive engine's own `uniquify` (writes get `Value(1000 + step)`,
+///   set elements cycle through a pool of three), so family members and
+///   exhaustive schedules that perform the same steps produce identical
+///   executions.
 /// - `DeliverOldest`/`DeliverNewest` deliver the first/last in-flight
 ///   copy whose sender→addressee edge does not cross the active
 ///   partition window; drops and duplications always target the oldest
@@ -32,13 +33,7 @@ pub fn run_member(sim: &mut Simulator, member: &[Pat]) {
         match pat {
             Pat::Hole(name) => panic!("run_member: unplugged hole `?{name}` at step {step}"),
             Pat::Op(replica, obj, op) => {
-                let op = match op {
-                    Op::Write(_) => Op::Write(Value::new(1000 + step as u64)),
-                    Op::Add(_) => Op::Add(Value::new(1 + (step % 3) as u64)),
-                    Op::Remove(_) => Op::Remove(Value::new(1 + (step % 3) as u64)),
-                    other => other.clone(),
-                };
-                sim.do_op(*replica, *obj, op);
+                sim.do_op(*replica, *obj, uniquify(op, step));
             }
             Pat::Flush(replica) => {
                 sim.flush(*replica);
@@ -108,7 +103,7 @@ fn deliverable(sim: &Simulator, active: Option<&[u32]>, newest: bool) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use haec_model::{ObjectId, StoreConfig};
+    use haec_model::{ObjectId, Op, StoreConfig, Value};
     use haec_stores::DvvMvrStore;
 
     fn r(i: u32) -> ReplicaId {

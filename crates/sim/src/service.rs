@@ -46,6 +46,7 @@
 //! [`LagObserver`]: crate::obs::lag::LagObserver
 //! [`StreamChecker`]: haec_core::stream::StreamChecker
 
+use crate::exhaustive::parallel::par_map;
 use crate::obs::hist::Histogram;
 use crate::obs::json::Json;
 use crate::obs::lag::LagObserver;
@@ -821,42 +822,16 @@ pub fn run_service(factory: &dyn StoreFactory, cfg: &ServiceRunConfig) -> Servic
 /// threads. Results are placed by config index, and each run is a pure
 /// function of its config, so the output — down to
 /// [`reports_json`] bytes — is identical for every thread count.
+///
+/// # Panics
+///
+/// Panics if `threads` is zero.
 pub fn run_service_sweep(
     factory: &dyn StoreFactory,
     configs: &[ServiceRunConfig],
     threads: usize,
 ) -> Vec<ServiceReport> {
-    if threads <= 1 || configs.len() <= 1 {
-        return configs.iter().map(|c| run_service(factory, c)).collect();
-    }
-    let workers = threads.min(configs.len());
-    let per_worker: Vec<Vec<(usize, ServiceReport)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    configs
-                        .iter()
-                        .enumerate()
-                        .skip(w)
-                        .step_by(workers)
-                        .map(|(i, c)| (i, run_service(factory, c)))
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("service sweep worker panicked"))
-            .collect()
-    });
-    let mut slots: Vec<Option<ServiceReport>> = configs.iter().map(|_| None).collect();
-    for (i, report) in per_worker.into_iter().flatten() {
-        slots[i] = Some(report);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every config produces exactly one report"))
-        .collect()
+    par_map(threads, configs, |_, c| run_service(factory, c))
 }
 
 #[cfg(test)]

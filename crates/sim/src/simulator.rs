@@ -93,43 +93,16 @@ impl std::fmt::Debug for SimSnapshot {
     }
 }
 
-/// A lightweight checkpoint for *forward-only* rewinds: replica machines and
-/// the (mutable) in-flight list are copied, while the append-only transcript
-/// state — events, messages, witnesses, timestamps, faults — is recorded by
-/// length alone and rewound by truncation.
-///
-/// This makes [`Simulator::rewind`] cost O(state + appended suffix) instead
-/// of the O(entire history) of [`Simulator::restore`], which is what lets
-/// the incremental explorer pop a search node in near-constant time. The
-/// contract is narrower than [`SimSnapshot`]'s: a checkpoint may only be
-/// rewound to from states reached by *advancing* the same simulator (the
-/// transcript must still have the checkpointed prefix).
-pub struct SimCheckpoint {
-    machines: Vec<Box<dyn ReplicaMachine>>,
-    events_len: usize,
-    messages_len: usize,
-    witnesses_len: usize,
-    inflight: Vec<InFlight>,
-    update_seq: Vec<u32>,
-    faults_len: usize,
-    peak_state_bits: usize,
-}
-
-impl std::fmt::Debug for SimCheckpoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimCheckpoint")
-            .field("events", &self.events_len)
-            .field("inflight", &self.inflight.len())
-            .finish()
-    }
-}
-
 /// Undo record for a *single* simulator transition that touches one
 /// replica's machine, captured by [`Simulator::begin_step`] and applied by
-/// [`Simulator::undo_step`]. Strictly cheaper than [`SimCheckpoint`]: only
-/// the affected machine is cloned up front, and undoing moves it back into
-/// place without cloning at all. The in-flight list is copied only when the
-/// caller declares the transition may mutate it.
+/// [`Simulator::undo_step`]. Strictly cheaper than a [`SimSnapshot`]: only
+/// the affected machine is cloned up front, undoing moves it back into
+/// place without cloning at all, and the append-only transcript — events,
+/// messages, witnesses, timestamps, faults — is recorded by length alone
+/// and rewound by truncation. The in-flight list is copied only when the
+/// caller declares the transition may mutate it. The contract is narrower
+/// than a snapshot's: an undo applies only to the state reached by
+/// *advancing* the same simulator by that one transition.
 pub struct StepUndo {
     replica: ReplicaId,
     machine: Box<dyn ReplicaMachine>,
@@ -263,48 +236,10 @@ impl Simulator {
         self.peak_state_bits = snap.peak_state_bits;
     }
 
-    /// Captures a lightweight [`SimCheckpoint`]: machines and in-flight
-    /// copies by value, the append-only transcript by length. See
-    /// [`SimCheckpoint`] for the narrower rewind contract.
-    pub fn checkpoint(&self) -> SimCheckpoint {
-        debug_assert_eq!(self.witnesses.len(), self.timestamps.len());
-        SimCheckpoint {
-            machines: self.machines.iter().map(|m| m.boxed_clone()).collect(),
-            events_len: self.execution.len(),
-            messages_len: self.execution.messages().len(),
-            witnesses_len: self.witnesses.len(),
-            inflight: self.inflight.clone(),
-            update_seq: self.update_seq.clone(),
-            faults_len: self.faults.len(),
-            peak_state_bits: self.peak_state_bits,
-        }
-    }
-
-    /// Rewinds to a [`SimCheckpoint`] taken earlier on this simulator by
-    /// truncating the append-only transcript and restoring machines and
-    /// in-flight copies. The checkpoint is not consumed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transcript is shorter than at checkpoint time — i.e.
-    /// the simulator was not advanced (or already rewound past the
-    /// checkpoint) since [`checkpoint`](Self::checkpoint).
-    pub fn rewind(&mut self, cp: &SimCheckpoint) {
-        self.machines = cp.machines.iter().map(|m| m.boxed_clone()).collect();
-        self.execution.truncate(cp.events_len, cp.messages_len);
-        self.witnesses.truncate(cp.witnesses_len);
-        self.timestamps.truncate(cp.witnesses_len);
-        self.inflight.clear();
-        self.inflight.extend_from_slice(&cp.inflight);
-        self.update_seq.copy_from_slice(&cp.update_seq);
-        self.faults.truncate(cp.faults_len);
-        self.peak_state_bits = cp.peak_state_bits;
-    }
-
     /// Captures undo information for one upcoming transition that will
     /// touch only `replica`'s machine: a client operation there, a flush of
     /// its pending message, or a delivery addressed to it. Cheaper than
-    /// [`checkpoint`](Self::checkpoint): only the one affected machine is
+    /// [`snapshot`](Self::snapshot): only the one affected machine is
     /// cloned, and [`undo_step`](Self::undo_step) *moves* it back without
     /// cloning again. `save_inflight` must be `true` when the transition
     /// may alter the in-flight list (flush, deliver, faults).
@@ -836,29 +771,6 @@ mod tests {
             sim.inflight().len(),
             sim.witnesses().len(),
         )
-    }
-
-    #[test]
-    fn checkpoint_rewind_truncates_forward_progress() {
-        let mut sim = Simulator::new(&DvvMvrStore, cfg());
-        sim.do_op(r(0), x(0), Op::Write(v(1)));
-        sim.flush(r(0)).unwrap();
-        let cp = sim.checkpoint();
-        let before = observable(&sim);
-        let events = sim.execution().events().to_vec();
-        sim.deliver(0);
-        sim.do_op(r(1), x(1), Op::Write(v(2)));
-        sim.flush(r(1)).unwrap();
-        sim.rewind(&cp);
-        assert_eq!(observable(&sim), before);
-        assert_eq!(sim.execution().events(), &events[..]);
-        // A checkpoint survives a rewind and can be rewound to again.
-        sim.deliver_all();
-        sim.rewind(&cp);
-        assert_eq!(observable(&sim), before);
-        // The rewound cluster behaves identically going forward.
-        sim.deliver_to(MsgId::new(0), r(1)).expect("copy exists");
-        assert_eq!(sim.read(r(1), x(0)), ReturnValue::values([v(1)]));
     }
 
     #[test]

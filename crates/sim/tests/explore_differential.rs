@@ -11,7 +11,7 @@ use haec_core::{causal, check_correct, ObjectSpecs, SpecKind};
 use haec_model::{ObjectId, Op, ReplicaId, StoreConfig, StoreFactory, Value};
 use haec_sim::exhaustive::{
     explore_all, explore_all_parallel, explore_all_replay, explore_all_traced, replay, Action,
-    ExhaustiveConfig, ParallelConfig,
+    ExhaustiveConfig,
 };
 use haec_sim::Simulator;
 use haec_stores::{
@@ -100,7 +100,7 @@ fn assert_engines_agree(
                     dedup,
                     ..config.clone()
                 },
-                &ParallelConfig::with_threads(threads),
+                threads,
                 &check_against_sync(spec),
             );
             assert_eq!(
@@ -193,7 +193,7 @@ fn assert_engines_agree(
             symmetry: true,
             ..config.clone()
         },
-        &ParallelConfig::with_threads(2),
+        2,
         &check_against_sync(spec),
     );
     assert_eq!(
@@ -292,12 +292,9 @@ fn engines_agree_on_a_failing_predicate() {
     // The parallel engine stops at the same first counterexample and
     // counts the same number of schedules before it, at every thread count.
     for threads in [1, 2, 8] {
-        let par = explore_all_parallel(
-            &DvvMvrStore,
-            &config,
-            &ParallelConfig::with_threads(threads),
-            &|sim: &Simulator| !(sim.execution().events().len() >= 3 && !sim.inflight().is_empty()),
-        );
+        let par = explore_all_parallel(&DvvMvrStore, &config, threads, &|sim: &Simulator| {
+            !(sim.execution().events().len() >= 3 && !sim.inflight().is_empty())
+        });
         assert_eq!(reference.schedules, par.schedules, "threads={threads}");
         assert_eq!(
             reference.counterexample, par.counterexample,
@@ -580,12 +577,7 @@ fn parallel_dedup_counters_known_answers() {
             "sequential {config:?}"
         );
         for threads in [1, 2, 8] {
-            let par = explore_all_parallel(
-                &DvvMvrStore,
-                &config,
-                &ParallelConfig::with_threads(threads),
-                &|_| true,
-            );
+            let par = explore_all_parallel(&DvvMvrStore, &config, threads, &|_| true);
             assert_eq!(
                 (par.schedules, par.dedup_hits, par.dedup_misses),
                 parallel,

@@ -138,8 +138,8 @@ fn parallel_exploration_report_json_is_byte_identical_across_thread_counts() {
     // from its observer stream is byte-for-byte the sequential report, at
     // every thread count. Nothing about worker scheduling may leak into
     // the serialized output.
+    use haec::sim::exhaustive::ExhaustiveConfig;
     use haec::sim::exhaustive::{explore_all_observed, explore_all_parallel_observed};
-    use haec::sim::exhaustive::{ExhaustiveConfig, ParallelConfig};
     use haec::sim::obs::stats::StatsObserver;
     use haec::sim::{ReportConfig, RunReport};
 
@@ -167,7 +167,7 @@ fn parallel_exploration_report_json_is_byte_identical_across_thread_counts() {
         let par = explore_all_parallel_observed(
             &DvvMvrStore,
             &config,
-            &ParallelConfig::with_threads(threads),
+            threads,
             &|_| true,
             &mut par_stats,
         );
@@ -187,9 +187,8 @@ fn reduced_search_json_with_dedup_counters_is_thread_invariant() {
     // canonicalization, and dedup all on, the run-report JSON — including
     // the `search` section's dedup_hits / dedup_misses counters, which
     // before the level-barrier table depended on worker timing — is
-    // byte-identical at thread counts 1, 2, and 8 for a fixed
-    // (config, split_depth, level_width).
-    use haec::sim::exhaustive::{explore_all_parallel_observed, ExhaustiveConfig, ParallelConfig};
+    // byte-identical at thread counts 1, 2, and 8 for a fixed config.
+    use haec::sim::exhaustive::{explore_all_parallel_observed, ExhaustiveConfig};
     use haec::sim::obs::stats::StatsObserver;
     use haec::sim::{ReportConfig, RunReport};
 
@@ -205,13 +204,7 @@ fn reduced_search_json_with_dedup_counters_is_thread_invariant() {
     let mut baseline: Option<(String, u64, u64)> = None;
     for threads in [1usize, 2, 8] {
         let mut stats = StatsObserver::new();
-        explore_all_parallel_observed(
-            &DvvMvrStore,
-            &config,
-            &ParallelConfig::with_threads(threads),
-            &|_| true,
-            &mut stats,
-        );
+        explore_all_parallel_observed(&DvvMvrStore, &config, threads, &|_| true, &mut stats);
         let (hits, misses) = (stats.dedup_hits(), stats.dedup_misses());
         let mut rep = RunReport::collect(&DvvMvrStore, &ReportConfig::default(), 7);
         rep.stats = stats;
@@ -275,9 +268,7 @@ fn parallel_counterexample_is_thread_invariant() {
     // counterexample must be the sequential engine's *first* one at
     // every thread count — which worker happened to fail first may not
     // influence which schedule is reported.
-    use haec::sim::exhaustive::{
-        explore_all, explore_all_parallel, ExhaustiveConfig, ParallelConfig,
-    };
+    use haec::sim::exhaustive::{explore_all, explore_all_parallel, ExhaustiveConfig};
 
     fn causal_check(sim: &Simulator) -> bool {
         let Ok(a) = sim.abstract_execution() else {
@@ -298,12 +289,7 @@ fn parallel_counterexample_is_thread_invariant() {
         "bounded store must fail somewhere at depth 5"
     );
     for threads in [1usize, 2, 8] {
-        let par = explore_all_parallel(
-            &BoundedStore,
-            &config,
-            &ParallelConfig::with_threads(threads),
-            &causal_check,
-        );
+        let par = explore_all_parallel(&BoundedStore, &config, threads, &causal_check);
         assert_eq!(par.schedules, sequential.schedules, "threads={threads}");
         assert_eq!(
             par.counterexample, sequential.counterexample,

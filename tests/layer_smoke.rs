@@ -1,0 +1,109 @@
+//! Tier-1 reach: one sub-second case per layer whose real suites
+//! (`crates/sim/tests/explore_differential.rs`, `service_matrix.rs`,
+//! `crates/core/tests/stream_differential.rs`) run only under `ci.sh`'s
+//! `cargo test --workspace`. `cargo test -q` builds only the root package,
+//! so without these a change to the explorer, the service driver or the
+//! streaming checker could break its suite and still pass tier 1.
+
+use haec::core::consistency::{causal, sessions};
+use haec::core::stream::StreamConfig;
+use haec::prelude::*;
+use haec::sim::exhaustive::{
+    explore_all, explore_all_parallel, explore_all_replay, ExhaustiveConfig,
+};
+use haec::sim::obs::{self, stream::StreamObserver};
+use haec::sim::service::{run_service, ServiceRunConfig};
+use haec::sim::{explore_with, Simulator};
+
+#[test]
+fn explorer_engines_agree_at_depth_3_on_two_stores() {
+    let stores: [(&dyn StoreFactory, SpecKind); 2] = [
+        (&DvvMvrStore, SpecKind::Mvr),
+        (&LwwStore, SpecKind::LwwRegister),
+    ];
+    for (factory, spec) in stores {
+        let check = move |sim: &Simulator| {
+            sim.abstract_execution().is_ok_and(|a| {
+                check_correct(&a, &ObjectSpecs::uniform(spec)).is_ok() && causal::check(&a).is_ok()
+            })
+        };
+        let config = ExhaustiveConfig {
+            depth: 3,
+            max_schedules: usize::MAX,
+            ..ExhaustiveConfig::default()
+        };
+        let deduped = ExhaustiveConfig {
+            dedup: true,
+            ..config.clone()
+        };
+        let reference = explore_all_replay(factory, &config, &mut { check });
+        assert_eq!(reference.schedules, 111, "{}", factory.name());
+        for (engine, report) in [
+            ("dfs", explore_all(factory, &config, &mut { check })),
+            ("dedup", explore_all(factory, &deduped, &mut { check })),
+            ("par-2", explore_all_parallel(factory, &deduped, 2, &check)),
+        ] {
+            let label = format!("{} {engine}", factory.name());
+            assert_eq!(report.schedules, reference.schedules, "{label}");
+            assert_eq!(report.counterexample, reference.counterexample, "{label}");
+        }
+    }
+}
+
+#[test]
+fn service_batched_and_unbatched_agree_on_a_clean_network() {
+    // One cell of `service_matrix`: constant delay (`delay_max: 1` always
+    // draws 0), no faults, so the two wire modes are tick-for-tick
+    // comparable and may differ only by the envelope framing.
+    let cell = |batched| ServiceRunConfig {
+        ops: 300,
+        n_clients: 12,
+        delay_max: 1,
+        seed: 0x7EA_5E7,
+        batched,
+        ..ServiceRunConfig::default()
+    };
+    let batched = run_service(&DvvMvrStore, &cell(true));
+    let unbatched = run_service(&DvvMvrStore, &cell(false));
+    assert!(batched.converged && unbatched.converged);
+    assert_eq!(batched.per_shard, unbatched.per_shard);
+    assert_eq!(batched.visibility_lag, unbatched.visibility_lag);
+    assert_eq!(batched.read_staleness, unbatched.read_staleness);
+    assert_eq!(unbatched.envelope_overhead_bits, 0);
+    assert_eq!(
+        batched.message_bits,
+        unbatched.message_bits + batched.envelope_overhead_bits,
+        "batching adds framing bits only"
+    );
+}
+
+#[test]
+fn streaming_verdicts_match_the_batch_checkers_on_one_faulty_run() {
+    let config = ExplorationConfig {
+        schedule: ScheduleConfig {
+            drop_prob: 0.2,
+            ..ScheduleConfig::default()
+        },
+        ..ExplorationConfig::default()
+    };
+    let stream = obs::shared(
+        StreamObserver::new(StreamConfig {
+            n_replicas: config.n_replicas,
+            window: 32,
+            gc_window: None,
+        })
+        .expect("valid stream config"),
+    );
+    let handle = stream.clone();
+    let report = explore_with(&DvvMvrStore, &config, 42, move |sim| {
+        sim.attach_observer(Box::new(handle));
+    });
+    let a = report.abstract_execution.expect("witness assembles");
+    let stream = stream.borrow();
+    let checker = stream.checker();
+    assert_eq!(checker.error(), None);
+    assert_eq!(checker.len(), a.len());
+    assert_eq!(checker.causal(), causal::check(&a));
+    assert_eq!(checker.eventual(), eventual::check_prefix(&a, 32));
+    assert_eq!(checker.sessions(), sessions::check_all(&a));
+}
