@@ -18,14 +18,15 @@
 //! compressed, not eliminated, and the sweep shows the same `Ω(n′·lg k)`
 //! growth.
 
+use crate::mvr::{ReadRule, Siblings};
+use crate::replica::DataType;
 use crate::vv::VersionVector;
-use crate::wire::{gamma_len, width_for, BitReader, BitWriter};
+use crate::wire::{read_dotted_write, write_dotted_write, BitReader, BitWriter};
 use haec_model::{
     DoOutcome, Dot, ObjectId, Op, Payload, ReplicaId, ReplicaMachine, ReturnValue, StoreConfig,
     StoreFactory, Value,
 };
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 /// Factory for the COPS-style compressed-dependency MVR store.
@@ -52,7 +53,7 @@ impl StoreFactory for CopsStore {
             outbox: Vec::new(),
             fresh_context: false,
             buffer: Vec::new(),
-            objects: BTreeMap::new(),
+            objects: Siblings::new(ReadRule::All),
         })
     }
 
@@ -82,19 +83,16 @@ pub struct CopsReplica {
     /// the next local update starts a new sub-batch.
     fresh_context: bool,
     buffer: Vec<SubBatch>,
-    objects: BTreeMap<ObjectId, Vec<(Dot, Value)>>,
+    objects: Siblings,
 }
 
 impl CopsReplica {
     fn apply_write(&mut self, dot: Dot, obj: ObjectId, value: Value, deps: &VersionVector) {
-        let siblings = self.objects.entry(obj).or_default();
-        siblings.retain(|(d, _)| {
-            // Superseded if covered by the shared deps, or an earlier write
-            // of the same sub-batch/origin (in-batch program order).
-            !(deps.contains(*d) || (d.replica == dot.replica && d.seq < dot.seq))
+        // Superseded if covered by the shared deps, or an earlier write of
+        // the same sub-batch/origin (in-batch program order).
+        self.objects.write(obj, dot, value, |d| {
+            deps.contains(d) || (d.replica == dot.replica && d.seq < dot.seq)
         });
-        siblings.push((dot, value));
-        siblings.sort_unstable();
     }
 
     fn drain_buffer(&mut self) {
@@ -125,19 +123,10 @@ impl ReplicaMachine for CopsReplica {
     ///
     /// Panics if the operation is not a register operation (write/read).
     fn do_op(&mut self, obj: ObjectId, op: &Op) -> DoOutcome {
+        let visible: Vec<Dot> = self.vv.dots().collect();
         match op {
-            Op::Read => DoOutcome::new(
-                ReturnValue::values(
-                    self.objects
-                        .get(&obj)
-                        .into_iter()
-                        .flatten()
-                        .map(|&(_, v)| v),
-                ),
-                self.vv.dots().collect(),
-            ),
+            Op::Read => DoOutcome::new(self.objects.read(obj), visible),
             Op::Write(v) => {
-                let visible: Vec<Dot> = self.vv.dots().collect();
                 let mut deps = self.vv.clone();
                 let seq = self.vv.advance(self.replica);
                 deps.set(self.replica, seq - 1);
@@ -177,14 +166,8 @@ impl ReplicaMachine for CopsReplica {
                 w.write_gamma0(u64::from(e));
             }
             w.write_gamma(sb.writes.len() as u64);
-            for &(dot, obj, value) in &sb.writes {
-                w.write_bits(
-                    u64::from(dot.replica.as_u32()),
-                    width_for(self.config.n_replicas),
-                );
-                w.write_gamma(u64::from(dot.seq));
-                w.write_bits(u64::from(obj.as_u32()), width_for(self.config.n_objects));
-                w.write_gamma0(value.as_u64());
+            for &write in &sb.writes {
+                write_dotted_write(&mut w, write, self.config);
             }
         }
         Some(w.finish())
@@ -211,21 +194,18 @@ impl ReplicaMachine for CopsReplica {
                 deps.set(ReplicaId::new(i as u32), e as u32);
             }
             let Ok(count) = r.read_gamma() else { return };
+            // A count the remaining bits could not carry is corrupt and
+            // must not size an allocation; ids outside the configuration
+            // would index out of the version vector.
+            if count > r.remaining() as u64 {
+                return;
+            }
             let mut writes = Vec::with_capacity(count as usize);
             for _ in 0..count {
-                let (Ok(origin), Ok(seq), Ok(obj), Ok(value)) = (
-                    r.read_bits(width_for(self.config.n_replicas)),
-                    r.read_gamma(),
-                    r.read_bits(width_for(self.config.n_objects)),
-                    r.read_gamma0(),
-                ) else {
+                let Ok(write) = read_dotted_write(&mut r, self.config) else {
                     return;
                 };
-                writes.push((
-                    Dot::new(ReplicaId::new(origin as u32), seq as u32),
-                    ObjectId::new(obj as u32),
-                    Value::new(value),
-                ));
+                writes.push(write);
             }
             if writes.is_empty() {
                 continue;
@@ -266,23 +246,7 @@ impl ReplicaMachine for CopsReplica {
     }
 
     fn state_bits(&self) -> usize {
-        let vv_bits: usize = self
-            .vv
-            .entries()
-            .iter()
-            .map(|&e| gamma_len(u64::from(e) + 1))
-            .sum();
-        let sibling_bits: usize = self
-            .objects
-            .values()
-            .flatten()
-            .map(|(d, v)| {
-                width_for(self.config.n_replicas) as usize
-                    + gamma_len(u64::from(d.seq))
-                    + gamma_len(v.as_u64() + 1)
-            })
-            .sum();
-        vv_bits + sibling_bits
+        self.vv.bits() + self.objects.bits(self.config)
     }
 }
 
@@ -439,5 +403,35 @@ mod tests {
     #[test]
     fn factory_name() {
         assert_eq!(CopsStore.name(), "cops-mvr");
+    }
+
+    /// A sub-batch write count no payload of this length could carry is
+    /// dropped before it sizes an allocation (it used to abort the
+    /// process), and a write naming a replica outside the configuration is
+    /// dropped before it indexes the version vector.
+    #[test]
+    fn corrupt_counts_and_ids_are_ignored() {
+        let header = |w: &mut BitWriter| {
+            w.write_gamma0(1);
+            for _ in 0..cfg().n_replicas {
+                w.write_gamma0(0);
+            }
+        };
+        let mut huge = BitWriter::new();
+        header(&mut huge);
+        huge.write_gamma(1 << 45);
+        let mut stranger = BitWriter::new();
+        header(&mut stranger);
+        stranger.write_gamma(1);
+        stranger.write_bits(3, 2);
+        stranger.write_gamma(1);
+        stranger.write_bits(0, 1);
+        stranger.write_gamma0(7);
+        for msg in [huge.finish(), stranger.finish()] {
+            let mut a = spawn(0);
+            let before = a.state_fingerprint();
+            a.on_receive(&msg);
+            assert_eq!(a.state_fingerprint(), before);
+        }
     }
 }

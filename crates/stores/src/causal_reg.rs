@@ -13,15 +13,9 @@
 //! value, the register interface, while the protocol (and hence Theorem
 //! 12's encoding argument) is identical in shape to the MVR store's.
 
-use crate::engine::{CausalEngine, Update, UpdateOp};
-use crate::wire::{gamma_len, width_for};
-use haec_model::{
-    DoOutcome, Dot, ObjectId, Op, Payload, ReplicaId, ReplicaMachine, ReturnValue, StoreConfig,
-    StoreFactory, Value,
-};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
+use crate::mvr::{ReadRule, Siblings};
+use crate::replica::CausalReplica;
+use haec_model::{ReplicaId, ReplicaMachine, StoreConfig, StoreFactory};
 
 /// Factory for the causally consistent register store.
 ///
@@ -40,10 +34,7 @@ pub struct CausalRegisterStore;
 
 impl StoreFactory for CausalRegisterStore {
     fn spawn(&self, replica: ReplicaId, config: StoreConfig) -> Box<dyn ReplicaMachine> {
-        Box::new(CausalRegisterReplica {
-            engine: CausalEngine::new(replica, config),
-            objects: BTreeMap::new(),
-        })
+        CausalReplica::spawn(replica, config, Siblings::new(ReadRule::MaxDot))
     }
 
     fn name(&self) -> &str {
@@ -51,97 +42,10 @@ impl StoreFactory for CausalRegisterStore {
     }
 }
 
-/// One replica of the causal register store.
-#[derive(Clone, Debug)]
-pub struct CausalRegisterReplica {
-    engine: CausalEngine,
-    /// Surviving (concurrent) writes per object, like MVR siblings; reads
-    /// expose only the max-dot survivor.
-    objects: BTreeMap<ObjectId, Vec<(Dot, Value)>>,
-}
-
-impl CausalRegisterReplica {
-    fn apply(&mut self, u: &Update) {
-        if let UpdateOp::Write(v) = u.op {
-            let siblings = self.objects.entry(u.obj).or_default();
-            siblings.retain(|(d, _)| !u.deps.contains(*d));
-            siblings.push((u.dot, v));
-            siblings.sort_unstable();
-        }
-    }
-
-    fn read(&self, obj: ObjectId) -> ReturnValue {
-        // Arbitrate concurrent survivors by maximal dot: deterministic and
-        // identical at every replica with the same survivor set, so
-        // quiescent replicas agree (Lemma 3 for registers).
-        match self.objects.get(&obj).and_then(|s| s.last()) {
-            Some(&(_, v)) => ReturnValue::values([v]),
-            None => ReturnValue::empty(),
-        }
-    }
-}
-
-impl ReplicaMachine for CausalRegisterReplica {
-    fn boxed_clone(&self) -> Box<dyn ReplicaMachine> {
-        Box::new(self.clone())
-    }
-
-    /// # Panics
-    ///
-    /// Panics if the operation is not a register operation (write/read).
-    fn do_op(&mut self, obj: ObjectId, op: &Op) -> DoOutcome {
-        match op {
-            Op::Read => DoOutcome::new(self.read(obj), self.engine.visible_dots()),
-            Op::Write(v) => {
-                let visible = self.engine.visible_dots();
-                let u = self.engine.local_update(obj, UpdateOp::Write(*v));
-                self.apply(&u);
-                DoOutcome::new(ReturnValue::Ok, visible)
-            }
-            other => panic!("causal register store does not support {other}"),
-        }
-    }
-
-    fn pending_message(&self) -> Option<Payload> {
-        self.engine.pending_message()
-    }
-
-    fn on_send(&mut self) {
-        self.engine.on_send();
-    }
-
-    fn on_receive(&mut self, payload: &Payload) {
-        for u in self.engine.on_receive(payload) {
-            self.apply(&u);
-        }
-    }
-
-    fn state_fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.engine.hash_into(&mut h);
-        self.objects.hash(&mut h);
-        h.finish()
-    }
-
-    fn state_bits(&self) -> usize {
-        let cfg = self.engine.config();
-        let sibling_bits: usize = self
-            .objects
-            .values()
-            .flatten()
-            .map(|(d, v)| {
-                width_for(cfg.n_replicas) as usize
-                    + gamma_len(d.seq as u64)
-                    + gamma_len(v.as_u64() + 1)
-            })
-            .sum();
-        self.engine.state_bits() + sibling_bits
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use haec_model::{ObjectId, Op, ReturnValue, Value};
 
     fn cfg() -> StoreConfig {
         StoreConfig::new(3, 2)

@@ -24,7 +24,9 @@
 
 use crate::engine::{CausalEngine, Update, UpdateOp};
 use crate::lww::LwwStore;
-use crate::wire::{width_for, BitReader, BitWriter};
+use crate::mvr::{ReadRule, Siblings};
+use crate::replica::DataType;
+use crate::wire::{read_dotted_write, width_for, write_dotted_write, BitReader, BitWriter};
 use haec_model::{
     DoOutcome, Dot, ObjectId, Op, Payload, ReplicaId, ReplicaMachine, ReturnValue, StoreConfig,
     StoreFactory, Value,
@@ -64,7 +66,7 @@ impl StoreFactory for KDelayedStore {
             ops_done: 0,
             staged: VecDeque::new(),
             exposed_dots: BTreeSet::new(),
-            objects: BTreeMap::new(),
+            exposed: Siblings::new(ReadRule::All),
         })
     }
 
@@ -83,18 +85,14 @@ pub struct KDelayedReplica {
     /// operation count at which each becomes exposed.
     staged: VecDeque<(u64, Update)>,
     exposed_dots: BTreeSet<Dot>,
-    objects: BTreeMap<ObjectId, Vec<(Dot, Value)>>,
+    /// Object state over the exposed updates only.
+    exposed: Siblings,
 }
 
 impl KDelayedReplica {
     fn apply_exposed(&mut self, u: &Update) {
         self.exposed_dots.insert(u.dot);
-        if let UpdateOp::Write(v) = u.op {
-            let siblings = self.objects.entry(u.obj).or_default();
-            siblings.retain(|(d, _)| !u.deps.contains(*d));
-            siblings.push((u.dot, v));
-            siblings.sort_unstable();
-        }
+        self.exposed.apply(u);
     }
 
     fn tick(&mut self) {
@@ -119,19 +117,10 @@ impl ReplicaMachine for KDelayedReplica {
     /// Panics if the operation is not a register operation (write/read).
     fn do_op(&mut self, obj: ObjectId, op: &Op) -> DoOutcome {
         self.tick();
+        let visible: Vec<Dot> = self.exposed_dots.iter().copied().collect();
         match op {
-            Op::Read => DoOutcome::new(
-                ReturnValue::values(
-                    self.objects
-                        .get(&obj)
-                        .into_iter()
-                        .flatten()
-                        .map(|&(_, v)| v),
-                ),
-                self.exposed_dots.iter().copied().collect(),
-            ),
+            Op::Read => DoOutcome::new(self.exposed.read(obj), visible),
             Op::Write(v) => {
-                let visible: Vec<Dot> = self.exposed_dots.iter().copied().collect();
                 let u = self.engine.local_update(obj, UpdateOp::Write(*v));
                 // Local updates are exposed immediately; note the engine's
                 // dependency vector may cover staged (unexposed) updates,
@@ -164,7 +153,7 @@ impl ReplicaMachine for KDelayedReplica {
         self.engine.hash_into(&mut h);
         self.ops_done.hash(&mut h);
         self.staged.hash(&mut h);
-        self.objects.hash(&mut h);
+        self.exposed.hash(&mut h);
         h.finish()
     }
 }
@@ -308,17 +297,14 @@ impl ReplicaMachine for SequencedReplica {
     ///
     /// Panics if the operation is not a register operation (write/read).
     fn do_op(&mut self, obj: ObjectId, op: &Op) -> DoOutcome {
+        let visible: Vec<Dot> = self.applied_dots.iter().copied().collect();
         match op {
             Op::Read => DoOutcome::new(
-                match self.applied.get(&obj) {
-                    Some(&v) => ReturnValue::values([v]),
-                    None => ReturnValue::empty(),
-                },
-                self.applied_dots.iter().copied().collect(),
+                ReturnValue::values(self.applied.get(&obj).copied()),
+                visible,
             )
             .with_timestamp(self.applied_upto),
             Op::Write(v) => {
-                let visible: Vec<Dot> = self.applied_dots.iter().copied().collect();
                 self.next_seq += 1;
                 let ann = Announcement {
                     dot: Dot::new(self.replica, self.next_seq),
@@ -343,24 +329,12 @@ impl ReplicaMachine for SequencedReplica {
         let mut w = BitWriter::new();
         w.write_gamma0(self.announce_out.len() as u64);
         for a in &self.announce_out {
-            w.write_bits(
-                a.dot.replica.as_u32() as u64,
-                width_for(self.config.n_replicas),
-            );
-            w.write_gamma(a.dot.seq as u64);
-            w.write_bits(a.obj.as_u32() as u64, width_for(self.config.n_objects));
-            w.write_gamma0(a.value.as_u64());
+            write_dotted_write(&mut w, (a.dot, a.obj, a.value), self.config);
         }
         w.write_gamma0(self.sequenced_out.len() as u64);
         for e in &self.sequenced_out {
             w.write_gamma(e.seqno);
-            w.write_bits(
-                e.dot.replica.as_u32() as u64,
-                width_for(self.config.n_replicas),
-            );
-            w.write_gamma(e.dot.seq as u64);
-            w.write_bits(e.obj.as_u32() as u64, width_for(self.config.n_objects));
-            w.write_gamma0(e.value.as_u64());
+            write_dotted_write(&mut w, (e.dot, e.obj, e.value), self.config);
         }
         Some(w.finish())
     }
@@ -379,36 +353,23 @@ impl ReplicaMachine for SequencedReplica {
         let Ok(n_ann) = r.read_gamma0() else { return };
         let mut anns = Vec::new();
         for _ in 0..n_ann {
-            let (Ok(origin), Ok(seq), Ok(obj), Ok(value)) = (
-                r.read_bits(width_for(self.config.n_replicas)),
-                r.read_gamma(),
-                r.read_bits(width_for(self.config.n_objects)),
-                r.read_gamma0(),
-            ) else {
+            let Ok((dot, obj, value)) = read_dotted_write(&mut r, self.config) else {
                 return;
             };
-            anns.push(Announcement {
-                dot: Dot::new(ReplicaId::new(origin as u32), seq as u32),
-                obj: ObjectId::new(obj as u32),
-                value: Value::new(value),
-            });
+            anns.push(Announcement { dot, obj, value });
         }
         let Ok(n_seq) = r.read_gamma0() else { return };
         for _ in 0..n_seq {
-            let (Ok(seqno), Ok(origin), Ok(seq), Ok(obj), Ok(value)) = (
-                r.read_gamma(),
-                r.read_bits(width_for(self.config.n_replicas)),
-                r.read_gamma(),
-                r.read_bits(width_for(self.config.n_objects)),
-                r.read_gamma0(),
-            ) else {
+            let (Ok(seqno), Ok((dot, obj, value))) =
+                (r.read_gamma(), read_dotted_write(&mut r, self.config))
+            else {
                 return;
             };
             let e = LogEntry {
                 seqno,
-                dot: Dot::new(ReplicaId::new(origin as u32), seq as u32),
-                obj: ObjectId::new(obj as u32),
-                value: Value::new(value),
+                dot,
+                obj,
+                value,
             };
             if e.seqno > self.applied_upto && !self.buffer.iter().any(|b| b.seqno == e.seqno) {
                 self.buffer.push(e);
@@ -510,6 +471,7 @@ impl ReplicaMachine for BoundedReplica {
     ///
     /// Panics if the operation is not a register operation (write/read).
     fn do_op(&mut self, obj: ObjectId, op: &Op) -> DoOutcome {
+        let visible: Vec<Dot> = self.applied_dots.iter().copied().collect();
         match op {
             Op::Read => DoOutcome::new(
                 ReturnValue::values(
@@ -519,10 +481,9 @@ impl ReplicaMachine for BoundedReplica {
                         .flat_map(|m| m.values())
                         .map(|&(_, v)| v),
                 ),
-                self.applied_dots.iter().copied().collect(),
+                visible,
             ),
             Op::Write(v) => {
-                let visible: Vec<Dot> = self.applied_dots.iter().copied().collect();
                 self.next_seq += 1;
                 let dot = Dot::new(self.replica, self.next_seq);
                 // A local write replaces all currently stored entries for
@@ -537,15 +498,8 @@ impl ReplicaMachine for BoundedReplica {
     }
 
     fn pending_message(&self) -> Option<Payload> {
-        let (dot, obj, value) = self.latest.as_ref()?;
         let mut w = BitWriter::new();
-        w.write_bits(
-            dot.replica.as_u32() as u64,
-            width_for(self.config.n_replicas),
-        );
-        w.write_gamma(dot.seq as u64);
-        w.write_bits(obj.as_u32() as u64, width_for(self.config.n_objects));
-        w.write_gamma0(value.as_u64());
+        write_dotted_write(&mut w, self.latest?, self.config);
         Some(w.finish())
     }
 
@@ -558,20 +512,10 @@ impl ReplicaMachine for BoundedReplica {
     }
 
     fn on_receive(&mut self, payload: &Payload) {
-        let mut r = BitReader::new(payload);
-        let (Ok(origin), Ok(seq), Ok(obj), Ok(value)) = (
-            r.read_bits(width_for(self.config.n_replicas)),
-            r.read_gamma(),
-            r.read_bits(width_for(self.config.n_objects)),
-            r.read_gamma0(),
-        ) else {
-            return;
-        };
-        self.apply(
-            Dot::new(ReplicaId::new(origin as u32), seq as u32),
-            ObjectId::new(obj as u32),
-            Value::new(value),
-        );
+        if let Ok((dot, obj, value)) = read_dotted_write(&mut BitReader::new(payload), self.config)
+        {
+            self.apply(dot, obj, value);
+        }
     }
 
     fn state_fingerprint(&self) -> u64 {

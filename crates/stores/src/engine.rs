@@ -18,7 +18,7 @@
 
 use crate::service::batch::{self, BatchDecodeError};
 use crate::vv::VersionVector;
-use crate::wire::{gamma_len, width_for, BitReader, BitWriter, DecodeError};
+use crate::wire::{read_dot, read_obj, write_dot, write_obj, BitReader, BitWriter, DecodeError};
 use haec_model::{Dot, ObjectId, Payload, ReplicaId, StoreConfig, Value};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -61,6 +61,19 @@ fn rename_update(u: &Update, perm: &[u32]) -> Update {
         op,
         deps: rename_vv(&u.deps, perm),
     }
+}
+
+/// Writes a dot list: `gamma0(count)` then each dot.
+fn write_dots(w: &mut BitWriter, dots: &[Dot], config: StoreConfig) {
+    w.write_gamma0(dots.len() as u64);
+    for &d in dots {
+        write_dot(w, d, config);
+    }
+}
+
+/// Reads a dot list written by [`write_dots`].
+fn read_dots(r: &mut BitReader<'_>, config: StoreConfig) -> Result<Vec<Dot>, DecodeError> {
+    (0..r.read_count()?).map(|_| read_dot(r, config)).collect()
 }
 
 /// The update operations carried in messages.
@@ -109,12 +122,8 @@ impl Update {
     /// Encodes the update into `w` using the configured replica/object
     /// widths.
     pub(crate) fn encode(&self, w: &mut BitWriter, config: StoreConfig) {
-        w.write_bits(
-            self.dot.replica.as_u32() as u64,
-            width_for(config.n_replicas),
-        );
-        w.write_gamma(self.dot.seq as u64);
-        w.write_bits(self.obj.as_u32() as u64, width_for(config.n_objects));
+        write_dot(w, self.dot, config);
+        write_obj(w, self.obj, config);
         match &self.op {
             UpdateOp::Write(v) => {
                 w.write_bits(TAG_WRITE, TAG_BITS);
@@ -127,11 +136,7 @@ impl Update {
             UpdateOp::Remove(v, dots) => {
                 w.write_bits(TAG_REMOVE, TAG_BITS);
                 w.write_gamma0(v.as_u64());
-                w.write_gamma0(dots.len() as u64);
-                for d in dots {
-                    w.write_bits(d.replica.as_u32() as u64, width_for(config.n_replicas));
-                    w.write_gamma(d.seq as u64);
-                }
+                write_dots(w, dots, config);
             }
             UpdateOp::Inc => {
                 w.write_bits(TAG_INC, TAG_BITS);
@@ -141,11 +146,7 @@ impl Update {
             }
             UpdateOp::Disable(dots) => {
                 w.write_bits(TAG_DISABLE, TAG_BITS);
-                w.write_gamma0(dots.len() as u64);
-                for d in dots {
-                    w.write_bits(d.replica.as_u32() as u64, width_for(config.n_replicas));
-                    w.write_gamma(d.seq as u64);
-                }
+                write_dots(w, dots, config);
             }
         }
         for &e in self.deps.entries() {
@@ -153,51 +154,30 @@ impl Update {
         }
     }
 
+    /// Decodes one record, failing closed: an unknown operation tag, a
+    /// replica or object id outside `config`, or an embedded dot count the
+    /// remaining bits could not carry is an error, never a guess.
     pub(crate) fn decode(
         r: &mut BitReader<'_>,
         config: StoreConfig,
     ) -> Result<Update, DecodeError> {
-        let replica = ReplicaId::new(r.read_bits(width_for(config.n_replicas))? as u32);
-        let seq = r.read_gamma()? as u32;
-        let obj = ObjectId::new(r.read_bits(width_for(config.n_objects))? as u32);
-        let tag = r.read_bits(TAG_BITS)?;
-        let op = match tag {
+        let dot = read_dot(r, config)?;
+        let obj = read_obj(r, config)?;
+        let tag_at = r.position();
+        let op = match r.read_bits(TAG_BITS)? {
             TAG_WRITE => UpdateOp::Write(Value::new(r.read_gamma0()?)),
             TAG_ADD => UpdateOp::Add(Value::new(r.read_gamma0()?)),
-            TAG_REMOVE => {
-                let v = Value::new(r.read_gamma0()?);
-                let count = r.read_gamma0()? as usize;
-                let mut dots = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let dr = ReplicaId::new(r.read_bits(width_for(config.n_replicas))? as u32);
-                    let ds = r.read_gamma()? as u32;
-                    dots.push(Dot::new(dr, ds));
-                }
-                UpdateOp::Remove(v, dots)
-            }
+            TAG_REMOVE => UpdateOp::Remove(Value::new(r.read_gamma0()?), read_dots(r, config)?),
+            TAG_INC => UpdateOp::Inc,
             TAG_ENABLE => UpdateOp::Enable,
-            TAG_DISABLE => {
-                let count = r.read_gamma0()? as usize;
-                let mut dots = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let dr = ReplicaId::new(r.read_bits(width_for(config.n_replicas))? as u32);
-                    let ds = r.read_gamma()? as u32;
-                    dots.push(Dot::new(dr, ds));
-                }
-                UpdateOp::Disable(dots)
-            }
-            _ => UpdateOp::Inc,
+            TAG_DISABLE => UpdateOp::Disable(read_dots(r, config)?),
+            _ => return Err(DecodeError { at_bit: tag_at }),
         };
         let mut deps = VersionVector::new(config.n_replicas);
         for i in 0..config.n_replicas {
             deps.set(ReplicaId::new(i as u32), r.read_gamma0()? as u32);
         }
-        Ok(Update {
-            dot: Dot::new(replica, seq),
-            obj,
-            op,
-            deps,
-        })
+        Ok(Update { dot, obj, op, deps })
     }
 
     /// Exact encoded size in bits under the given configuration.
@@ -358,19 +338,13 @@ impl CausalEngine {
     /// Approximate canonical size in bits of the engine state (vv + outbox
     /// + buffer), for the state-space experiments.
     pub fn state_bits(&self) -> usize {
-        let vv_bits: usize = self
-            .vv
-            .entries()
-            .iter()
-            .map(|&e| gamma_len(e as u64 + 1))
-            .sum();
         let pending: usize = self
             .outbox
             .iter()
             .chain(self.buffer.iter())
             .map(|u| u.encoded_bits(self.config))
             .sum();
-        vv_bits + pending
+        self.vv.bits() + pending
     }
 
     /// Returns `true` if there are buffered (not yet applicable) updates.
@@ -400,21 +374,20 @@ impl CausalEngine {
     /// payload does not decode (the identity fingerprint of a π-related
     /// payload would fail identically, so collision safety is preserved).
     pub fn payload_fingerprint_renamed(&self, payload: &Payload, perm: &[u32]) -> Option<u64> {
-        let mut r = BitReader::new(payload);
-        let count = r.read_gamma0().ok()?;
+        let updates = batch::decode_batch(payload, self.config).ok()?;
         let mut h = DefaultHasher::new();
-        count.hash(&mut h);
-        for _ in 0..count {
-            let u = Update::decode(&mut r, self.config).ok()?;
-            rename_update(&u, perm).hash(&mut h);
+        (updates.len() as u64).hash(&mut h);
+        for u in &updates {
+            rename_update(u, perm).hash(&mut h);
         }
         Some(h.finish())
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::wire::width_for;
 
     fn cfg() -> StoreConfig {
         StoreConfig::new(3, 2)
@@ -582,6 +555,89 @@ mod tests {
                 .map(|u| u.encoded_bits(cfg()))
                 .sum::<usize>();
         assert_eq!(msg.bits(), expected_bits);
+    }
+
+    /// A one-record batch at dot `(replica, 1)` whose fields are written
+    /// raw, so tests can forge what the encoder never produces. `body`
+    /// writes whatever follows the operation tag.
+    pub(crate) fn forged_batch(
+        config: StoreConfig,
+        (replica, obj, tag): (u64, u64, u64),
+        body: impl FnOnce(&mut BitWriter),
+    ) -> Payload {
+        let mut w = BitWriter::new();
+        w.write_gamma0(1);
+        w.write_bits(replica, width_for(config.n_replicas));
+        w.write_gamma(1);
+        w.write_bits(obj, width_for(config.n_objects));
+        w.write_bits(tag, TAG_BITS);
+        body(&mut w);
+        for _ in 0..config.n_replicas {
+            w.write_gamma0(0);
+        }
+        w.finish()
+    }
+
+    /// The forgery helper itself speaks the wire format.
+    #[test]
+    fn forged_batch_with_honest_fields_decodes() {
+        let msg = forged_batch(cfg(), (1, 1, TAG_ADD), |w| w.write_gamma0(9));
+        let us = batch::decode_batch(&msg, cfg()).unwrap();
+        assert_eq!(us.len(), 1);
+        assert_eq!((us[0].dot, us[0].obj), (Dot::new(r(1), 1), x(1)));
+        assert_eq!(us[0].op, UpdateOp::Add(v(9)));
+    }
+
+    /// Tags 6 and 7 fit the 3-bit field but name no operation; they used
+    /// to decode as an increment.
+    #[test]
+    fn unknown_op_tag_fails_closed() {
+        for tag in [6, 7] {
+            let msg = forged_batch(cfg(), (1, 0, tag), |_| {});
+            let err = batch::decode_batch(&msg, cfg()).unwrap_err();
+            assert_eq!(err.index, Some(0), "tag {tag}");
+            let mut e = CausalEngine::new(r(0), cfg());
+            assert!(e.try_receive(&msg).is_err());
+            assert_eq!(e.vv().total(), 0);
+        }
+    }
+
+    /// An observed-dot count no payload of this length could carry is
+    /// rejected before it sizes an allocation (2^45 dots used to abort the
+    /// process).
+    #[test]
+    fn oversized_dot_count_is_rejected_before_allocating() {
+        let remove = forged_batch(cfg(), (1, 0, TAG_REMOVE), |w| {
+            w.write_gamma0(5);
+            w.write_gamma0(1 << 45);
+        });
+        let disable = forged_batch(cfg(), (1, 0, TAG_DISABLE), |w| w.write_gamma0(1 << 45));
+        for msg in [remove, disable] {
+            assert!(msg.bits() < 128);
+            let err = batch::decode_batch(&msg, cfg()).unwrap_err();
+            assert_eq!(err.index, Some(0));
+        }
+    }
+
+    /// With three replicas the two-bit id field can say 3; such a record
+    /// used to index out of the version vector. Same for embedded dots and
+    /// for object ids.
+    #[test]
+    fn out_of_range_ids_are_rejected() {
+        let wide = StoreConfig::new(3, 3);
+        let record_dot = forged_batch(wide, (3, 0, TAG_INC), |_| {});
+        let object = forged_batch(wide, (1, 3, TAG_INC), |_| {});
+        let embedded_dot = forged_batch(wide, (1, 0, TAG_DISABLE), |w| {
+            w.write_gamma0(1);
+            w.write_bits(3, width_for(wide.n_replicas));
+            w.write_gamma(1);
+        });
+        for msg in [record_dot, object, embedded_dot] {
+            let mut e = CausalEngine::new(r(0), wide);
+            let err = e.try_receive(&msg).unwrap_err();
+            assert_eq!(err.index, Some(0));
+            assert!(!e.has_buffered());
+        }
     }
 
     #[test]

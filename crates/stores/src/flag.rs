@@ -6,15 +6,15 @@
 //! the shared causal engine: write-propagating, causally and eventually
 //! consistent.
 
-use crate::engine::{rename_dot, CausalEngine, Update, UpdateOp};
+use crate::engine::{rename_dot, Update, UpdateOp};
+use crate::replica::{hash_renamed_objects, CausalReplica, DataType};
 use crate::wire::{gamma_len, width_for};
 use haec_model::{
-    DoOutcome, Dot, ObjectId, Op, Payload, ReplicaId, ReplicaMachine, ReturnValue, StoreConfig,
-    StoreFactory, Value,
+    Dot, ObjectId, Op, ReplicaId, ReplicaMachine, ReturnValue, StoreConfig, StoreFactory, Value,
 };
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 
 /// Factory for the enable-wins flag store.
 ///
@@ -32,10 +32,7 @@ pub struct EwFlagStore;
 
 impl StoreFactory for EwFlagStore {
     fn spawn(&self, replica: ReplicaId, config: StoreConfig) -> Box<dyn ReplicaMachine> {
-        Box::new(EwFlagReplica {
-            engine: CausalEngine::new(replica, config),
-            flags: BTreeMap::new(),
-        })
+        CausalReplica::spawn(replica, config, EnableInstances::default())
     }
 
     fn name(&self) -> &str {
@@ -43,22 +40,31 @@ impl StoreFactory for EwFlagStore {
     }
 }
 
-/// One replica of the enable-wins flag store.
-#[derive(Clone, Debug)]
-pub struct EwFlagReplica {
-    engine: CausalEngine,
-    /// Live enable instances per flag.
-    flags: BTreeMap<ObjectId, BTreeSet<Dot>>,
-}
+/// Live enable instances per flag.
+#[derive(Clone, Default, Hash, Debug)]
+struct EnableInstances(BTreeMap<ObjectId, BTreeSet<Dot>>);
 
-impl EwFlagReplica {
+impl DataType for EnableInstances {
+    /// A disable carries the dots of the enables live here — the ones it
+    /// observed.
+    fn prepare(&self, obj: ObjectId, op: &Op) -> Option<UpdateOp> {
+        match op {
+            Op::Enable => Some(UpdateOp::Enable),
+            Op::Disable => {
+                let observed = self.0.get(&obj).into_iter().flatten().copied().collect();
+                Some(UpdateOp::Disable(observed))
+            }
+            _ => None,
+        }
+    }
+
     fn apply(&mut self, u: &Update) {
         match &u.op {
             UpdateOp::Enable => {
-                self.flags.entry(u.obj).or_default().insert(u.dot);
+                self.0.entry(u.obj).or_default().insert(u.dot);
             }
             UpdateOp::Disable(dots) => {
-                if let Some(live) = self.flags.get_mut(&u.obj) {
+                if let Some(live) = self.0.get_mut(&u.obj) {
                     for d in dots {
                         live.remove(d);
                     }
@@ -69,97 +75,29 @@ impl EwFlagReplica {
     }
 
     fn read(&self, obj: ObjectId) -> ReturnValue {
-        if self.flags.get(&obj).is_some_and(|live| !live.is_empty()) {
+        if self.0.get(&obj).is_some_and(|live| !live.is_empty()) {
             ReturnValue::values([Value::new(1)])
         } else {
             ReturnValue::empty()
         }
     }
-}
 
-impl ReplicaMachine for EwFlagReplica {
-    fn boxed_clone(&self) -> Box<dyn ReplicaMachine> {
-        Box::new(self.clone())
-    }
-
-    /// # Panics
-    ///
-    /// Panics if the operation is not a flag operation
-    /// (enable/disable/read).
-    fn do_op(&mut self, obj: ObjectId, op: &Op) -> DoOutcome {
-        match op {
-            Op::Read => DoOutcome::new(self.read(obj), self.engine.visible_dots()),
-            Op::Enable => {
-                let visible = self.engine.visible_dots();
-                let u = self.engine.local_update(obj, UpdateOp::Enable);
-                self.apply(&u);
-                DoOutcome::new(ReturnValue::Ok, visible)
-            }
-            Op::Disable => {
-                let visible = self.engine.visible_dots();
-                let observed: Vec<Dot> = self
-                    .flags
-                    .get(&obj)
-                    .into_iter()
-                    .flatten()
-                    .copied()
-                    .collect();
-                let u = self.engine.local_update(obj, UpdateOp::Disable(observed));
-                self.apply(&u);
-                DoOutcome::new(ReturnValue::Ok, visible)
-            }
-            other => panic!("enable-wins flag store does not support {other}"),
-        }
-    }
-
-    fn pending_message(&self) -> Option<Payload> {
-        self.engine.pending_message()
-    }
-
-    fn on_send(&mut self) {
-        self.engine.on_send();
-    }
-
-    fn on_receive(&mut self, payload: &Payload) {
-        for u in self.engine.on_receive(payload) {
-            self.apply(&u);
-        }
-    }
-
-    fn state_fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.engine.hash_into(&mut h);
-        self.flags.hash(&mut h);
-        h.finish()
-    }
-
-    fn state_bits(&self) -> usize {
-        let cfg = self.engine.config();
-        let inst_bits: usize = self
-            .flags
+    fn bits(&self, config: StoreConfig) -> usize {
+        self.0
             .values()
             .flatten()
-            .map(|d| width_for(cfg.n_replicas) as usize + gamma_len(u64::from(d.seq)))
-            .sum();
-        self.engine.state_bits() + inst_bits
+            .map(|d| width_for(config.n_replicas) as usize + gamma_len(u64::from(d.seq)))
+            .sum()
     }
 
-    fn state_fingerprint_renamed(&self, perm: &[u32]) -> Option<u64> {
-        let mut h = DefaultHasher::new();
-        self.engine.hash_renamed_into(perm, &mut h);
-        self.flags.len().hash(&mut h);
-        for (obj, live) in &self.flags {
-            obj.hash(&mut h);
-            // Enable instances are dots; re-sort under the renamed ids.
-            let mut renamed: Vec<Dot> = live.iter().map(|&d| rename_dot(d, perm)).collect();
-            renamed.sort_unstable();
-            renamed.hash(&mut h);
-        }
-        Some(h.finish())
+    fn equivariant(&self) -> bool {
+        true
     }
 
-    fn payload_fingerprint_renamed(&self, payload: &Payload, perm: &[u32]) -> Option<u64> {
-        self.engine.payload_fingerprint_renamed(payload, perm)
+    fn hash_renamed_into(&self, perm: &[u32], h: &mut DefaultHasher) {
+        hash_renamed_objects(&self.0, h, |live| {
+            live.iter().map(|&d| rename_dot(d, perm)).collect()
+        });
     }
 }
 

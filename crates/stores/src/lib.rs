@@ -53,6 +53,7 @@ mod mixed;
 mod mvr;
 mod orset;
 pub mod properties;
+mod replica;
 pub mod service;
 pub mod vv;
 pub mod wire;

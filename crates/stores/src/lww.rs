@@ -12,7 +12,9 @@
 //! builders can order `H` consistently with the store's arbitration (the
 //! LWW spec resolves conflicts by `H` order).
 
-use crate::wire::{gamma_len, width_for, BitReader, BitWriter};
+use crate::wire::{
+    gamma_len, read_dot, read_obj, width_for, write_dot, write_obj, BitReader, BitWriter,
+};
 use haec_model::{
     DoOutcome, Dot, ObjectId, Op, Payload, ReplicaId, ReplicaMachine, ReturnValue, StoreConfig,
     StoreFactory, Value,
@@ -99,17 +101,13 @@ impl ReplicaMachine for LwwReplica {
     ///
     /// Panics if the operation is not a register operation (write/read).
     fn do_op(&mut self, obj: ObjectId, op: &Op) -> DoOutcome {
+        let visible: Vec<Dot> = self.applied.iter().copied().collect();
         match op {
             Op::Read => {
-                let rval = match self.objects.get(&obj) {
-                    Some(&(_, _, v)) => ReturnValue::values([v]),
-                    None => ReturnValue::empty(),
-                };
-                DoOutcome::new(rval, self.applied.iter().copied().collect())
-                    .with_timestamp(self.clock)
+                let rval = ReturnValue::values(self.objects.get(&obj).map(|&(_, _, v)| v));
+                DoOutcome::new(rval, visible).with_timestamp(self.clock)
             }
             Op::Write(v) => {
-                let visible: Vec<Dot> = self.applied.iter().copied().collect();
                 self.clock += 1;
                 self.next_seq += 1;
                 let w = LwwWrite {
@@ -133,12 +131,8 @@ impl ReplicaMachine for LwwReplica {
         let mut bw = BitWriter::new();
         bw.write_gamma0(self.outbox.len() as u64);
         for w in &self.outbox {
-            bw.write_bits(
-                w.dot.replica.as_u32() as u64,
-                width_for(self.config.n_replicas),
-            );
-            bw.write_gamma(w.dot.seq as u64);
-            bw.write_bits(w.obj.as_u32() as u64, width_for(self.config.n_objects));
+            write_dot(&mut bw, w.dot, self.config);
+            write_obj(&mut bw, w.obj, self.config);
             bw.write_gamma(w.ts);
             bw.write_gamma0(w.value.as_u64());
         }
@@ -157,18 +151,17 @@ impl ReplicaMachine for LwwReplica {
         let mut r = BitReader::new(payload);
         let Ok(count) = r.read_gamma0() else { return };
         for _ in 0..count {
-            let Ok(origin) = r.read_bits(width_for(self.config.n_replicas)) else {
+            let (Ok(dot), Ok(obj), Ok(ts), Ok(value)) = (
+                read_dot(&mut r, self.config),
+                read_obj(&mut r, self.config),
+                r.read_gamma(),
+                r.read_gamma0(),
+            ) else {
                 return;
             };
-            let Ok(seq) = r.read_gamma() else { return };
-            let Ok(obj) = r.read_bits(width_for(self.config.n_objects)) else {
-                return;
-            };
-            let Ok(ts) = r.read_gamma() else { return };
-            let Ok(value) = r.read_gamma0() else { return };
             let w = LwwWrite {
-                dot: Dot::new(ReplicaId::new(origin as u32), seq as u32),
-                obj: ObjectId::new(obj as u32),
+                dot,
+                obj,
                 ts,
                 value: Value::new(value),
             };

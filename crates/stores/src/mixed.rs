@@ -9,15 +9,9 @@
 //! the causal engine, so the store is causally and eventually consistent
 //! and write-propagating.
 
-use crate::engine::{CausalEngine, Update, UpdateOp};
-use crate::wire::{gamma_len, width_for};
-use haec_model::{
-    DoOutcome, Dot, ObjectId, Op, Payload, ReplicaId, ReplicaMachine, ReturnValue, StoreConfig,
-    StoreFactory, Value,
-};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
+use crate::mvr::{ReadRule, Siblings};
+use crate::replica::CausalReplica;
+use haec_model::{ReplicaId, ReplicaMachine, StoreConfig, StoreFactory};
 
 /// Factory for the mixed MVR + register store.
 ///
@@ -46,11 +40,8 @@ impl MixedStore {
 
 impl StoreFactory for MixedStore {
     fn spawn(&self, replica: ReplicaId, config: StoreConfig) -> Box<dyn ReplicaMachine> {
-        Box::new(MixedReplica {
-            engine: CausalEngine::new(replica, config),
-            mvr_objects: self.mvr_objects,
-            objects: BTreeMap::new(),
-        })
+        let rule = ReadRule::SplitAt(self.mvr_objects);
+        CausalReplica::spawn(replica, config, Siblings::new(rule))
     }
 
     fn name(&self) -> &str {
@@ -58,104 +49,10 @@ impl StoreFactory for MixedStore {
     }
 }
 
-/// One replica of the mixed store.
-#[derive(Clone, Debug)]
-pub struct MixedReplica {
-    engine: CausalEngine,
-    mvr_objects: usize,
-    /// Concurrent survivors per object (shared representation; the read
-    /// path decides whether to expose them all or arbitrate).
-    objects: BTreeMap<ObjectId, Vec<(Dot, Value)>>,
-}
-
-impl MixedReplica {
-    fn is_mvr(&self, obj: ObjectId) -> bool {
-        obj.index() < self.mvr_objects
-    }
-
-    fn apply(&mut self, u: &Update) {
-        if let UpdateOp::Write(v) = u.op {
-            let siblings = self.objects.entry(u.obj).or_default();
-            siblings.retain(|(d, _)| !u.deps.contains(*d));
-            siblings.push((u.dot, v));
-            siblings.sort_unstable();
-        }
-    }
-
-    fn read(&self, obj: ObjectId) -> ReturnValue {
-        let siblings = self.objects.get(&obj);
-        if self.is_mvr(obj) {
-            ReturnValue::values(siblings.into_iter().flatten().map(|&(_, v)| v))
-        } else {
-            match siblings.and_then(|s| s.last()) {
-                Some(&(_, v)) => ReturnValue::values([v]),
-                None => ReturnValue::empty(),
-            }
-        }
-    }
-}
-
-impl ReplicaMachine for MixedReplica {
-    fn boxed_clone(&self) -> Box<dyn ReplicaMachine> {
-        Box::new(self.clone())
-    }
-
-    /// # Panics
-    ///
-    /// Panics if the operation is not a register operation (write/read).
-    fn do_op(&mut self, obj: ObjectId, op: &Op) -> DoOutcome {
-        match op {
-            Op::Read => DoOutcome::new(self.read(obj), self.engine.visible_dots()),
-            Op::Write(v) => {
-                let visible = self.engine.visible_dots();
-                let u = self.engine.local_update(obj, UpdateOp::Write(*v));
-                self.apply(&u);
-                DoOutcome::new(ReturnValue::Ok, visible)
-            }
-            other => panic!("mixed store does not support {other}"),
-        }
-    }
-
-    fn pending_message(&self) -> Option<Payload> {
-        self.engine.pending_message()
-    }
-
-    fn on_send(&mut self) {
-        self.engine.on_send();
-    }
-
-    fn on_receive(&mut self, payload: &Payload) {
-        for u in self.engine.on_receive(payload) {
-            self.apply(&u);
-        }
-    }
-
-    fn state_fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.engine.hash_into(&mut h);
-        self.objects.hash(&mut h);
-        h.finish()
-    }
-
-    fn state_bits(&self) -> usize {
-        let cfg = self.engine.config();
-        let sibling_bits: usize = self
-            .objects
-            .values()
-            .flatten()
-            .map(|(d, v)| {
-                width_for(cfg.n_replicas) as usize
-                    + gamma_len(u64::from(d.seq))
-                    + gamma_len(v.as_u64() + 1)
-            })
-            .sum();
-        self.engine.state_bits() + sibling_bits
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use haec_model::{ObjectId, Op, ReturnValue, Value};
 
     fn cfg() -> StoreConfig {
         StoreConfig::new(3, 3)

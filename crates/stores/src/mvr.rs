@@ -12,15 +12,16 @@
 //! superseded by a causally later write. A read returns the sibling values —
 //! exactly the MVR specification's set of currently conflicting writes. An
 //! incoming write drops every sibling covered by its dependency vector and
-//! joins the rest. Causal delivery (via [`CausalEngine`]) guarantees a write
-//! never arrives before a write it supersedes.
+//! joins the rest. Causal delivery (via the shared
+//! [`CausalEngine`](crate::engine::CausalEngine)) guarantees a write never
+//! arrives before a write it supersedes.
 
-use crate::engine::{rename_dot, CausalEngine, Update, UpdateOp};
-use crate::wire::{gamma_len, width_for};
+use crate::engine::{rename_dot, Update, UpdateOp};
+use crate::replica::{hash_renamed_objects, CausalReplica, DataType};
+use crate::wire::dotted_value_bits;
 use haec_model::{
-    DoOutcome, ObjectId, Op, Payload, ReplicaMachine, ReturnValue, StoreConfig, StoreFactory, Value,
+    Dot, ObjectId, Op, ReplicaId, ReplicaMachine, ReturnValue, StoreConfig, StoreFactory, Value,
 };
-use haec_model::{Dot, ReplicaId};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -42,10 +43,7 @@ pub struct DvvMvrStore;
 
 impl StoreFactory for DvvMvrStore {
     fn spawn(&self, replica: ReplicaId, config: StoreConfig) -> Box<dyn ReplicaMachine> {
-        Box::new(MvrReplica {
-            engine: CausalEngine::new(replica, config),
-            objects: BTreeMap::new(),
-        })
+        CausalReplica::spawn(replica, config, Siblings::new(ReadRule::All))
     }
 
     fn name(&self) -> &str {
@@ -53,112 +51,106 @@ impl StoreFactory for DvvMvrStore {
     }
 }
 
-/// One replica of the DVV MVR store.
+/// What a read of a sibling set exposes. The write path is the same under
+/// every rule; only the read differs.
+#[derive(Copy, Clone, Debug)]
+pub(crate) enum ReadRule {
+    /// Every sibling: the multi-valued register.
+    All,
+    /// Only the maximal-dot sibling: a last-writer-wins register. The
+    /// choice is deterministic and identical at every replica holding the
+    /// same siblings, so quiescent replicas agree (Lemma 3 for registers).
+    MaxDot,
+    /// [`All`](Self::All) for objects with id below the split,
+    /// [`MaxDot`](Self::MaxDot) for the rest.
+    SplitAt(usize),
+}
+
+/// Per-object sibling sets — the dotted writes not superseded by a causally
+/// later write, in dot order — read under a [`ReadRule`].
 #[derive(Clone, Debug)]
-pub struct MvrReplica {
-    engine: CausalEngine,
-    /// Siblings per object: dotted writes not superseded by a visible write.
+pub(crate) struct Siblings {
+    rule: ReadRule,
     objects: BTreeMap<ObjectId, Vec<(Dot, Value)>>,
 }
 
-impl MvrReplica {
+impl Siblings {
+    pub(crate) fn new(rule: ReadRule) -> Self {
+        Siblings {
+            rule,
+            objects: BTreeMap::new(),
+        }
+    }
+
+    /// The write `(dot, value)` drops every sibling of `obj` it supersedes
+    /// and joins the rest.
+    pub(crate) fn write(
+        &mut self,
+        obj: ObjectId,
+        dot: Dot,
+        value: Value,
+        supersedes: impl Fn(Dot) -> bool,
+    ) {
+        let siblings = self.objects.entry(obj).or_default();
+        siblings.retain(|&(d, _)| !supersedes(d));
+        siblings.push((dot, value));
+        siblings.sort_unstable();
+    }
+}
+
+/// The state is the sibling sets; the rule is fixed per store.
+impl Hash for Siblings {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.objects.hash(h);
+    }
+}
+
+impl DataType for Siblings {
+    fn prepare(&self, _obj: ObjectId, op: &Op) -> Option<UpdateOp> {
+        match op {
+            Op::Write(v) => Some(UpdateOp::Write(*v)),
+            _ => None,
+        }
+    }
+
+    /// A write supersedes exactly the siblings its dependency vector
+    /// covers; causal delivery guarantees none of them arrives later.
     fn apply(&mut self, u: &Update) {
         if let UpdateOp::Write(v) = u.op {
-            let siblings = self.objects.entry(u.obj).or_default();
-            siblings.retain(|(d, _)| !u.deps.contains(*d));
-            siblings.push((u.dot, v));
-            siblings.sort_unstable();
+            self.write(u.obj, u.dot, v, |d| u.deps.contains(d));
         }
     }
 
     fn read(&self, obj: ObjectId) -> ReturnValue {
-        ReturnValue::values(
-            self.objects
-                .get(&obj)
-                .into_iter()
-                .flatten()
-                .map(|&(_, v)| v),
-        )
-    }
-}
-
-impl ReplicaMachine for MvrReplica {
-    fn boxed_clone(&self) -> Box<dyn ReplicaMachine> {
-        Box::new(self.clone())
+        let siblings = self.objects.get(&obj).map_or(&[][..], Vec::as_slice);
+        let from = match self.rule {
+            ReadRule::All => 0,
+            ReadRule::SplitAt(mvr_objects) if obj.index() < mvr_objects => 0,
+            // Siblings are kept in dot order, so the maximal dot is the last.
+            _ => siblings.len().saturating_sub(1),
+        };
+        ReturnValue::values(siblings[from..].iter().map(|&(_, v)| v))
     }
 
-    /// # Panics
-    ///
-    /// Panics if the operation is not a register operation (write/read).
-    fn do_op(&mut self, obj: ObjectId, op: &Op) -> DoOutcome {
-        match op {
-            Op::Read => DoOutcome::new(self.read(obj), self.engine.visible_dots()),
-            Op::Write(v) => {
-                let visible = self.engine.visible_dots();
-                let u = self.engine.local_update(obj, UpdateOp::Write(*v));
-                self.apply(&u);
-                DoOutcome::new(ReturnValue::Ok, visible)
-            }
-            other => panic!("MVR store does not support {other}"),
-        }
-    }
-
-    fn pending_message(&self) -> Option<Payload> {
-        self.engine.pending_message()
-    }
-
-    fn on_send(&mut self) {
-        self.engine.on_send();
-    }
-
-    fn on_receive(&mut self, payload: &Payload) {
-        for u in self.engine.on_receive(payload) {
-            self.apply(&u);
-        }
-    }
-
-    fn state_fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.engine.hash_into(&mut h);
-        self.objects.hash(&mut h);
-        h.finish()
-    }
-
-    fn state_bits(&self) -> usize {
-        let cfg = self.engine.config();
-        let sibling_bits: usize = self
-            .objects
+    fn bits(&self, config: StoreConfig) -> usize {
+        self.objects
             .values()
             .flatten()
-            .map(|(d, v)| {
-                width_for(cfg.n_replicas) as usize
-                    + gamma_len(d.seq as u64)
-                    + gamma_len(v.as_u64() + 1)
-            })
-            .sum();
-        self.engine.state_bits() + sibling_bits
+            .map(|&(d, v)| dotted_value_bits(config, d, v))
+            .sum()
     }
 
-    fn state_fingerprint_renamed(&self, perm: &[u32]) -> Option<u64> {
-        let mut h = DefaultHasher::new();
-        self.engine.hash_renamed_into(perm, &mut h);
-        self.objects.len().hash(&mut h);
-        for (obj, siblings) in &self.objects {
-            obj.hash(&mut h);
-            // Sibling order is dot order, which is not renaming-invariant:
-            // re-sort under the renamed dots.
-            let mut renamed: Vec<(Dot, Value)> = siblings
+    fn equivariant(&self) -> bool {
+        matches!(self.rule, ReadRule::All)
+    }
+
+    fn hash_renamed_into(&self, perm: &[u32], h: &mut DefaultHasher) {
+        hash_renamed_objects(&self.objects, h, |siblings| {
+            siblings
                 .iter()
                 .map(|&(d, v)| (rename_dot(d, perm), v))
-                .collect();
-            renamed.sort_unstable();
-            renamed.hash(&mut h);
-        }
-        Some(h.finish())
-    }
-
-    fn payload_fingerprint_renamed(&self, payload: &Payload, perm: &[u32]) -> Option<u64> {
-        self.engine.payload_fingerprint_renamed(payload, perm)
+                .collect()
+        });
     }
 }
 

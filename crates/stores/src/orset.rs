@@ -5,15 +5,15 @@
 //! `remove(v)` records the dots of the instances it observed; concurrent
 //! adds are unaffected — "add wins".
 
-use crate::engine::{rename_dot, CausalEngine, Update, UpdateOp};
-use crate::wire::{gamma_len, width_for};
+use crate::engine::{rename_dot, Update, UpdateOp};
+use crate::replica::{hash_renamed_objects, CausalReplica, DataType};
+use crate::wire::{dotted_value_bits, gamma0_len};
 use haec_model::{
-    DoOutcome, Dot, ObjectId, Op, Payload, ReplicaId, ReplicaMachine, ReturnValue, StoreConfig,
-    StoreFactory, Value,
+    Dot, ObjectId, Op, ReplicaId, ReplicaMachine, ReturnValue, StoreConfig, StoreFactory, Value,
 };
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 
 /// Factory for the ORset store.
 ///
@@ -31,10 +31,7 @@ pub struct OrSetStore;
 
 impl StoreFactory for OrSetStore {
     fn spawn(&self, replica: ReplicaId, config: StoreConfig) -> Box<dyn ReplicaMachine> {
-        Box::new(OrSetReplica {
-            engine: CausalEngine::new(replica, config),
-            objects: BTreeMap::new(),
-        })
+        CausalReplica::spawn(replica, config, AddInstances::default())
     }
 
     fn name(&self) -> &str {
@@ -42,22 +39,38 @@ impl StoreFactory for OrSetStore {
     }
 }
 
-/// One replica of the ORset store.
-#[derive(Clone, Debug)]
-pub struct OrSetReplica {
-    engine: CausalEngine,
-    /// Live add-instances per object.
-    objects: BTreeMap<ObjectId, BTreeMap<Dot, Value>>,
-}
+/// Live add-instances per object.
+#[derive(Clone, Default, Hash, Debug)]
+struct AddInstances(BTreeMap<ObjectId, BTreeMap<Dot, Value>>);
 
-impl OrSetReplica {
+impl DataType for AddInstances {
+    /// A remove carries the dots of the add-instances of its value that
+    /// are live here — the ones it observed.
+    fn prepare(&self, obj: ObjectId, op: &Op) -> Option<UpdateOp> {
+        match op {
+            Op::Add(v) => Some(UpdateOp::Add(*v)),
+            Op::Remove(v) => {
+                let observed = self
+                    .0
+                    .get(&obj)
+                    .into_iter()
+                    .flatten()
+                    .filter(|&(_, val)| val == v)
+                    .map(|(&d, _)| d)
+                    .collect();
+                Some(UpdateOp::Remove(*v, observed))
+            }
+            _ => None,
+        }
+    }
+
     fn apply(&mut self, u: &Update) {
         match &u.op {
             UpdateOp::Add(v) => {
-                self.objects.entry(u.obj).or_default().insert(u.dot, *v);
+                self.0.entry(u.obj).or_default().insert(u.dot, *v);
             }
             UpdateOp::Remove(_, dots) => {
-                if let Some(inst) = self.objects.get_mut(&u.obj) {
+                if let Some(inst) = self.0.get_mut(&u.obj) {
                     for d in dots {
                         inst.remove(d);
                     }
@@ -69,110 +82,31 @@ impl OrSetReplica {
 
     fn read(&self, obj: ObjectId) -> ReturnValue {
         ReturnValue::values(
-            self.objects
+            self.0
                 .get(&obj)
                 .into_iter()
                 .flat_map(|m| m.values().copied()),
         )
     }
 
-    fn observed_dots(&self, obj: ObjectId, v: Value) -> Vec<Dot> {
-        self.objects
-            .get(&obj)
-            .into_iter()
-            .flat_map(|m| m.iter())
-            .filter(|&(_, &val)| val == v)
-            .map(|(&d, _)| d)
-            .collect()
-    }
-}
-
-impl ReplicaMachine for OrSetReplica {
-    fn boxed_clone(&self) -> Box<dyn ReplicaMachine> {
-        Box::new(self.clone())
-    }
-
-    /// # Panics
-    ///
-    /// Panics if the operation is not a set operation (add/remove/read).
-    fn do_op(&mut self, obj: ObjectId, op: &Op) -> DoOutcome {
-        match op {
-            Op::Read => DoOutcome::new(self.read(obj), self.engine.visible_dots()),
-            Op::Add(v) => {
-                let visible = self.engine.visible_dots();
-                let u = self.engine.local_update(obj, UpdateOp::Add(*v));
-                self.apply(&u);
-                DoOutcome::new(ReturnValue::Ok, visible)
-            }
-            Op::Remove(v) => {
-                let visible = self.engine.visible_dots();
-                let observed = self.observed_dots(obj, *v);
-                let u = self
-                    .engine
-                    .local_update(obj, UpdateOp::Remove(*v, observed));
-                self.apply(&u);
-                DoOutcome::new(ReturnValue::Ok, visible)
-            }
-            other => panic!("ORset store does not support {other}"),
-        }
-    }
-
-    fn pending_message(&self) -> Option<Payload> {
-        self.engine.pending_message()
-    }
-
-    fn on_send(&mut self) {
-        self.engine.on_send();
-    }
-
-    fn on_receive(&mut self, payload: &Payload) {
-        for u in self.engine.on_receive(payload) {
-            self.apply(&u);
-        }
-    }
-
-    fn state_fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.engine.hash_into(&mut h);
-        self.objects.hash(&mut h);
-        h.finish()
-    }
-
-    fn state_bits(&self) -> usize {
-        let cfg = self.engine.config();
-        let inst_bits: usize = self
-            .objects
+    fn bits(&self, config: StoreConfig) -> usize {
+        self.0
             .values()
-            .flat_map(|m| m.iter())
-            .map(|(d, v)| {
-                width_for(cfg.n_replicas) as usize
-                    + gamma_len(d.seq as u64)
-                    + gamma_len(v.as_u64() + 1)
-            })
-            .sum();
-        self.engine.state_bits() + inst_bits
+            .flatten()
+            .map(|(&d, &v)| dotted_value_bits(config, d, v))
+            .sum()
     }
 
-    fn state_fingerprint_renamed(&self, perm: &[u32]) -> Option<u64> {
-        let mut h = DefaultHasher::new();
-        self.engine.hash_renamed_into(perm, &mut h);
-        self.objects.len().hash(&mut h);
-        for (obj, inst) in &self.objects {
-            obj.hash(&mut h);
-            // Instances are keyed by dot; re-key (and re-sort) under the
-            // renamed dots.
-            let mut renamed: Vec<(Dot, Value)> = inst
-                .iter()
+    fn equivariant(&self) -> bool {
+        true
+    }
+
+    fn hash_renamed_into(&self, perm: &[u32], h: &mut DefaultHasher) {
+        hash_renamed_objects(&self.0, h, |inst| {
+            inst.iter()
                 .map(|(&d, &v)| (rename_dot(d, perm), v))
-                .collect();
-            renamed.sort_unstable();
-            renamed.hash(&mut h);
-        }
-        Some(h.finish())
-    }
-
-    fn payload_fingerprint_renamed(&self, payload: &Payload, perm: &[u32]) -> Option<u64> {
-        self.engine.payload_fingerprint_renamed(payload, perm)
+                .collect()
+        });
     }
 }
 
@@ -184,10 +118,7 @@ pub struct CounterStore;
 
 impl StoreFactory for CounterStore {
     fn spawn(&self, replica: ReplicaId, config: StoreConfig) -> Box<dyn ReplicaMachine> {
-        Box::new(CounterReplica {
-            engine: CausalEngine::new(replica, config),
-            counts: BTreeMap::new(),
-        })
+        CausalReplica::spawn(replica, config, Counts::default())
     }
 
     fn name(&self) -> &str {
@@ -195,75 +126,36 @@ impl StoreFactory for CounterStore {
     }
 }
 
-/// One replica of the counter store.
-#[derive(Clone, Debug)]
-pub struct CounterReplica {
-    engine: CausalEngine,
-    counts: BTreeMap<ObjectId, u64>,
-}
+/// Increments applied per object.
+#[derive(Clone, Default, Hash, Debug)]
+struct Counts(BTreeMap<ObjectId, u64>);
 
-impl ReplicaMachine for CounterReplica {
-    fn boxed_clone(&self) -> Box<dyn ReplicaMachine> {
-        Box::new(self.clone())
+impl DataType for Counts {
+    fn prepare(&self, _obj: ObjectId, op: &Op) -> Option<UpdateOp> {
+        matches!(op, Op::Inc).then_some(UpdateOp::Inc)
     }
 
-    /// # Panics
-    ///
-    /// Panics if the operation is not a counter operation (inc/read).
-    fn do_op(&mut self, obj: ObjectId, op: &Op) -> DoOutcome {
-        match op {
-            Op::Read => DoOutcome::new(
-                ReturnValue::values([Value::new(self.counts.get(&obj).copied().unwrap_or(0))]),
-                self.engine.visible_dots(),
-            ),
-            Op::Inc => {
-                let visible = self.engine.visible_dots();
-                self.engine.local_update(obj, UpdateOp::Inc);
-                *self.counts.entry(obj).or_default() += 1;
-                DoOutcome::new(ReturnValue::Ok, visible)
-            }
-            other => panic!("counter store does not support {other}"),
+    fn apply(&mut self, u: &Update) {
+        if matches!(u.op, UpdateOp::Inc) {
+            *self.0.entry(u.obj).or_default() += 1;
         }
     }
 
-    fn pending_message(&self) -> Option<Payload> {
-        self.engine.pending_message()
+    fn read(&self, obj: ObjectId) -> ReturnValue {
+        ReturnValue::values([Value::new(self.0.get(&obj).copied().unwrap_or(0))])
     }
 
-    fn on_send(&mut self) {
-        self.engine.on_send();
+    fn bits(&self, _config: StoreConfig) -> usize {
+        self.0.values().map(|&c| gamma0_len(c)).sum()
     }
 
-    fn on_receive(&mut self, payload: &Payload) {
-        for u in self.engine.on_receive(payload) {
-            if matches!(u.op, UpdateOp::Inc) {
-                *self.counts.entry(u.obj).or_default() += 1;
-            }
-        }
+    fn equivariant(&self) -> bool {
+        true
     }
 
-    fn state_fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.engine.hash_into(&mut h);
-        self.counts.hash(&mut h);
-        h.finish()
-    }
-
-    fn state_bits(&self) -> usize {
-        let count_bits: usize = self.counts.values().map(|&c| gamma_len(c + 1)).sum();
-        self.engine.state_bits() + count_bits
-    }
-
-    fn state_fingerprint_renamed(&self, perm: &[u32]) -> Option<u64> {
-        let mut h = DefaultHasher::new();
-        self.engine.hash_renamed_into(perm, &mut h);
-        // Counts carry no replica ids — renaming-invariant as stored.
-        self.counts.hash(&mut h);
-        Some(h.finish())
-    }
-
-    fn payload_fingerprint_renamed(&self, payload: &Payload, perm: &[u32]) -> Option<u64> {
-        self.engine.payload_fingerprint_renamed(payload, perm)
+    /// Counts carry no replica ids — renaming-invariant as stored.
+    fn hash_renamed_into(&self, _perm: &[u32], h: &mut DefaultHasher) {
+        self.0.hash(h);
     }
 }
 
@@ -404,5 +296,17 @@ mod tests {
     fn factory_names() {
         assert_eq!(OrSetStore.name(), "orset");
         assert_eq!(CounterStore.name(), "counter");
+    }
+
+    /// An unknown operation tag used to decode as `Inc` and bump the
+    /// counter; now the whole payload is ignored.
+    #[test]
+    fn counter_ignores_a_record_with_an_unknown_op_tag() {
+        let msg = crate::engine::tests::forged_batch(cfg(), (1, 0, 7), |_| {});
+        let mut a = CounterStore.spawn(r(0), cfg());
+        let before = a.state_fingerprint();
+        a.on_receive(&msg);
+        assert_eq!(a.state_fingerprint(), before);
+        assert_eq!(a.do_op(x(0), &Op::Read).rval, ReturnValue::values([v(0)]));
     }
 }

@@ -78,19 +78,10 @@ pub fn decode_batch(
     config: StoreConfig,
 ) -> Result<Vec<Update>, BatchDecodeError> {
     let mut r = BitReader::new(payload);
-    let count = r.read_gamma0().map_err(|e| BatchDecodeError {
+    let count = r.read_count().map_err(|e| BatchDecodeError {
         index: None,
         at_bit: e.at_bit,
-    })? as usize;
-    // A count no bit stream of this length could carry is itself corrupt
-    // (and must not drive a huge allocation): every update record is at
-    // least one bit.
-    if count > r.remaining() {
-        return Err(BatchDecodeError {
-            index: None,
-            at_bit: r.position(),
-        });
-    }
+    })?;
     let mut updates = Vec::with_capacity(count);
     for i in 0..count {
         let u = Update::decode(&mut r, config).map_err(|e| BatchDecodeError {

@@ -92,29 +92,19 @@ pub fn decode_envelope(
     payload: &Payload,
     n_shards: usize,
 ) -> Result<Vec<(usize, Payload)>, EnvelopeDecodeError> {
-    let w = width_for(n_shards);
     let mut r = BitReader::new(payload);
     let framing = |at_bit| EnvelopeDecodeError {
         group: None,
         at_bit,
     };
-    let count = r.read_gamma0().map_err(|e| framing(e.at_bit))? as usize;
-    if count > r.remaining() {
-        return Err(framing(r.position()));
-    }
+    let count = r.read_count().map_err(|e| framing(e.at_bit))?;
     let mut groups = Vec::with_capacity(count);
     for g in 0..count {
         let at = |e: crate::wire::DecodeError| EnvelopeDecodeError {
             group: Some(g),
             at_bit: e.at_bit,
         };
-        let shard = r.read_bits(w).map_err(at)? as usize;
-        if shard >= n_shards {
-            return Err(EnvelopeDecodeError {
-                group: Some(g),
-                at_bit: r.position(),
-            });
-        }
+        let shard = r.read_index(n_shards).map_err(at)?;
         let bits = r.read_gamma0().map_err(at)? as usize;
         let sub = r.read_payload(bits).map_err(at)?;
         groups.push((shard, sub));

@@ -1,5 +1,6 @@
 //! Version vectors.
 
+use crate::wire::gamma0_len;
 use haec_model::{Dot, ReplicaId};
 use std::fmt;
 
@@ -86,6 +87,11 @@ impl VersionVector {
     /// Raw entries.
     pub fn entries(&self) -> &[u32] {
         &self.entries
+    }
+
+    /// Canonical size in bits: each entry as `γ(entry + 1)`.
+    pub(crate) fn bits(&self) -> usize {
+        self.entries.iter().map(|&e| gamma0_len(u64::from(e))).sum()
     }
 }
 

@@ -7,7 +7,7 @@
 //! grow logarithmically with operation counts, matching the `lg k` factor in
 //! the bound.
 
-use haec_model::Payload;
+use haec_model::{Dot, ObjectId, Payload, ReplicaId, StoreConfig, Value};
 use std::fmt;
 
 /// Writes a bit stream and finishes into a [`Payload`] with exact bit
@@ -263,6 +263,81 @@ impl<'a> BitReader<'a> {
     pub fn read_gamma0(&mut self) -> Result<u64, DecodeError> {
         Ok(self.read_gamma()? - 1)
     }
+
+    /// Reads an index into a domain of `n` values from `width_for(n)` bits.
+    /// The field can hold values past `n` whenever `n` is not a power of
+    /// two; such an index is corrupt (it would run off whatever the domain
+    /// indexes) and is rejected.
+    pub(crate) fn read_index(&mut self, n: usize) -> Result<usize, DecodeError> {
+        let i = self.read_bits(width_for(n))?;
+        if i >= n as u64 {
+            return Err(DecodeError { at_bit: self.pos });
+        }
+        Ok(i as usize)
+    }
+
+    /// Reads a `gamma0` element count that is safe to allocate for: every
+    /// element occupies at least one bit, so a count no stream of this
+    /// length could carry is itself corrupt.
+    pub(crate) fn read_count(&mut self) -> Result<usize, DecodeError> {
+        let count = self.read_gamma0()?;
+        if count > self.remaining() as u64 {
+            return Err(DecodeError { at_bit: self.pos });
+        }
+        Ok(count as usize)
+    }
+}
+
+/// Writes a dot: the replica id in `width_for(n_replicas)` bits, then the
+/// gamma-coded sequence number.
+pub(crate) fn write_dot(w: &mut BitWriter, d: Dot, config: StoreConfig) {
+    w.write_bits(u64::from(d.replica.as_u32()), width_for(config.n_replicas));
+    w.write_gamma(u64::from(d.seq));
+}
+
+/// Reads a dot written by [`write_dot`], rejecting a replica id outside
+/// the configuration.
+pub(crate) fn read_dot(r: &mut BitReader<'_>, config: StoreConfig) -> Result<Dot, DecodeError> {
+    let replica = ReplicaId::new(r.read_index(config.n_replicas)? as u32);
+    Ok(Dot::new(replica, r.read_gamma()? as u32))
+}
+
+/// Writes an object id in `width_for(n_objects)` bits.
+pub(crate) fn write_obj(w: &mut BitWriter, obj: ObjectId, config: StoreConfig) {
+    w.write_bits(u64::from(obj.as_u32()), width_for(config.n_objects));
+}
+
+/// Reads an object id written by [`write_obj`], rejecting ids outside the
+/// configuration.
+pub(crate) fn read_obj(
+    r: &mut BitReader<'_>,
+    config: StoreConfig,
+) -> Result<ObjectId, DecodeError> {
+    Ok(ObjectId::new(r.read_index(config.n_objects)? as u32))
+}
+
+/// Writes one dotted register write `(dot, obj, value)` — the record the
+/// stores that run their own broadcast (COPS, sequencer, bounded) send.
+pub(crate) fn write_dotted_write(
+    w: &mut BitWriter,
+    (dot, obj, value): (Dot, ObjectId, Value),
+    config: StoreConfig,
+) {
+    write_dot(w, dot, config);
+    write_obj(w, obj, config);
+    w.write_gamma0(value.as_u64());
+}
+
+/// Reads a record written by [`write_dotted_write`].
+pub(crate) fn read_dotted_write(
+    r: &mut BitReader<'_>,
+    config: StoreConfig,
+) -> Result<(Dot, ObjectId, Value), DecodeError> {
+    Ok((
+        read_dot(r, config)?,
+        read_obj(r, config)?,
+        Value::new(r.read_gamma0()?),
+    ))
 }
 
 /// Number of bits needed to store values `0..n` (at least 1).
@@ -293,6 +368,12 @@ pub fn gamma_len(value: u64) -> usize {
 /// [`BitWriter::write_gamma0`].
 pub fn gamma0_len(value: u64) -> usize {
     gamma_len(value + 1)
+}
+
+/// Canonical size in bits of one dotted value `(dot, value)` held in
+/// replica state: the dot as [`write_dot`] encodes it plus `γ(value + 1)`.
+pub(crate) fn dotted_value_bits(config: StoreConfig, d: Dot, v: Value) -> usize {
+    width_for(config.n_replicas) as usize + gamma_len(u64::from(d.seq)) + gamma0_len(v.as_u64())
 }
 
 #[cfg(test)]

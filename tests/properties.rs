@@ -239,6 +239,121 @@ fn payload_bits_exact() {
     });
 }
 
+/// No store dies on a corrupt payload: random bit strings (dense and
+/// zero-heavy) and valid broadcasts with one bit flipped, a suffix cut off,
+/// or a suffix replaced by noise never panic a receiver, and the
+/// engine-backed stores leave their state untouched whenever the batch
+/// codec rejects the payload.
+#[test]
+fn corrupt_payloads_never_panic_a_store() {
+    use haec::stores::service::batch::decode_batch;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    // Three replicas and three objects: both id fields are two bits wide
+    // and can name an id (3) outside the configuration.
+    let cfg = StoreConfig::new(3, 3);
+    let engine_backed = [
+        "dvv-mvr",
+        "causal-register",
+        "orset",
+        "counter",
+        "ew-flag",
+        "k-delayed",
+        "mixed",
+    ];
+    let mut factories = haec::stores::all_factories();
+    factories.push(Box::new(haec::stores::MixedStore::new(1)));
+    // Valid traffic to corrupt: what R1 and R2 would broadcast after a few
+    // updates each (removes and disables carry observed-dot lists).
+    let stores: Vec<(Box<dyn StoreFactory>, Vec<Payload>)> = factories
+        .into_iter()
+        .map(|factory| {
+            let v = Value::new;
+            let ops = match factory.name() {
+                "orset" => vec![Op::Add(v(1)), Op::Add(v(1)), Op::Remove(v(1))],
+                "counter" => vec![Op::Inc, Op::Inc, Op::Inc],
+                "ew-flag" => vec![Op::Enable, Op::Enable, Op::Disable],
+                _ => vec![Op::Write(v(1)), Op::Write(v(2)), Op::Write(v(3))],
+            };
+            let valid = (1..3)
+                .map(|r| {
+                    let mut m = factory.spawn(ReplicaId::new(r), cfg);
+                    for (i, op) in ops.iter().enumerate() {
+                        m.do_op(ObjectId::new(i as u32 % 3), op);
+                    }
+                    m.pending_message().expect("updates are pending")
+                })
+                .collect();
+            (factory, valid)
+        })
+        .collect();
+
+    let gen = (
+        usizes(0..5),
+        vecs(any_u8(), 0..97),
+        usizes(0..1 << 16),
+        usizes(0..1 << 16),
+    );
+    prop::check(
+        "corrupt_payloads_never_panic_a_store",
+        &gen,
+        |(mode, bytes, a, b)| {
+            for (factory, valid) in &stores {
+                let original = &valid[a % valid.len()];
+                // Zero-heavy noise: six random bytes ANDed into one set one
+                // bit in 64, so gamma codes read from it decode to huge
+                // counts.
+                let sparse = || {
+                    bytes
+                        .chunks_exact(6)
+                        .map(|c| c.iter().fold(0xFF, |x, y| x & y))
+                };
+                let bit_string = |mut bytes: Vec<u8>| {
+                    let bits = (bytes.len() * 8).saturating_sub(b % 8);
+                    bytes.truncate(bits.div_ceil(8));
+                    Payload::from_bits(bytes, bits)
+                };
+                let cut = b % original.bits();
+                let payload = match mode {
+                    0 => bit_string(bytes.iter().copied().take(32).collect()),
+                    1 => bit_string(sparse().collect()),
+                    2 => {
+                        let mut flipped = original.bytes().to_vec();
+                        flipped[cut / 8] ^= 1 << (cut % 8);
+                        Payload::from_bits(flipped, original.bits())
+                    }
+                    3 => BitReader::new(original).read_payload(cut).unwrap(),
+                    _ => {
+                        // A valid prefix, then noise where the next field
+                        // (a count, an id, a tag) was due.
+                        let mut w = BitWriter::new();
+                        w.append_payload(&BitReader::new(original).read_payload(cut).unwrap());
+                        sparse().for_each(|byte| w.write_bits(u64::from(byte), 8));
+                        w.finish()
+                    }
+                };
+                let mut m = factory.spawn(ReplicaId::new(0), cfg);
+                let before = m.state_fingerprint();
+                let received = catch_unwind(AssertUnwindSafe(|| m.on_receive(&payload)));
+                prop_assert!(
+                    received.is_ok(),
+                    "{} panicked receiving {payload:?}",
+                    factory.name()
+                );
+                if engine_backed.contains(&factory.name()) && decode_batch(&payload, cfg).is_err() {
+                    prop_assert_eq!(
+                        m.state_fingerprint(),
+                        before,
+                        "{} changed state on rejected {payload:?}",
+                        factory.name()
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
 #[test]
 fn testkit_runner_note() {
     // The testkit runner defaults to 64 cases per property (HAEC_PROP_CASES
