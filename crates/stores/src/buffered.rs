@@ -21,7 +21,7 @@
 use crate::mvr::{ReadRule, Siblings};
 use crate::replica::DataType;
 use crate::vv::VersionVector;
-use crate::wire::{read_dotted_write, write_dotted_write, BitReader, BitWriter};
+use crate::wire::{BitReader, BitWriter};
 use haec_model::{
     DoOutcome, Dot, ObjectId, Op, Payload, ReplicaId, ReplicaMachine, ReturnValue, StoreConfig,
     StoreFactory, Value,
@@ -167,7 +167,7 @@ impl ReplicaMachine for CopsReplica {
             }
             w.write_gamma(sb.writes.len() as u64);
             for &write in &sb.writes {
-                write_dotted_write(&mut w, write, self.config);
+                w.write_dotted_write(write, self.config);
             }
         }
         Some(w.finish())
@@ -202,7 +202,7 @@ impl ReplicaMachine for CopsReplica {
             }
             let mut writes = Vec::with_capacity(count as usize);
             for _ in 0..count {
-                let Ok(write) = read_dotted_write(&mut r, self.config) else {
+                let Ok(write) = r.read_dotted_write(self.config) else {
                     return;
                 };
                 writes.push(write);

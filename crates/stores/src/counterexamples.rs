@@ -26,7 +26,7 @@ use crate::engine::{CausalEngine, Update, UpdateOp};
 use crate::lww::LwwStore;
 use crate::mvr::{ReadRule, Siblings};
 use crate::replica::DataType;
-use crate::wire::{read_dotted_write, width_for, write_dotted_write, BitReader, BitWriter};
+use crate::wire::{width_for, BitReader, BitWriter};
 use haec_model::{
     DoOutcome, Dot, ObjectId, Op, Payload, ReplicaId, ReplicaMachine, ReturnValue, StoreConfig,
     StoreFactory, Value,
@@ -329,12 +329,12 @@ impl ReplicaMachine for SequencedReplica {
         let mut w = BitWriter::new();
         w.write_gamma0(self.announce_out.len() as u64);
         for a in &self.announce_out {
-            write_dotted_write(&mut w, (a.dot, a.obj, a.value), self.config);
+            w.write_dotted_write((a.dot, a.obj, a.value), self.config);
         }
         w.write_gamma0(self.sequenced_out.len() as u64);
         for e in &self.sequenced_out {
             w.write_gamma(e.seqno);
-            write_dotted_write(&mut w, (e.dot, e.obj, e.value), self.config);
+            w.write_dotted_write((e.dot, e.obj, e.value), self.config);
         }
         Some(w.finish())
     }
@@ -353,7 +353,7 @@ impl ReplicaMachine for SequencedReplica {
         let Ok(n_ann) = r.read_gamma0() else { return };
         let mut anns = Vec::new();
         for _ in 0..n_ann {
-            let Ok((dot, obj, value)) = read_dotted_write(&mut r, self.config) else {
+            let Ok((dot, obj, value)) = r.read_dotted_write(self.config) else {
                 return;
             };
             anns.push(Announcement { dot, obj, value });
@@ -361,7 +361,7 @@ impl ReplicaMachine for SequencedReplica {
         let Ok(n_seq) = r.read_gamma0() else { return };
         for _ in 0..n_seq {
             let (Ok(seqno), Ok((dot, obj, value))) =
-                (r.read_gamma(), read_dotted_write(&mut r, self.config))
+                (r.read_gamma(), r.read_dotted_write(self.config))
             else {
                 return;
             };
@@ -499,7 +499,7 @@ impl ReplicaMachine for BoundedReplica {
 
     fn pending_message(&self) -> Option<Payload> {
         let mut w = BitWriter::new();
-        write_dotted_write(&mut w, self.latest?, self.config);
+        w.write_dotted_write(self.latest?, self.config);
         Some(w.finish())
     }
 
@@ -512,8 +512,7 @@ impl ReplicaMachine for BoundedReplica {
     }
 
     fn on_receive(&mut self, payload: &Payload) {
-        if let Ok((dot, obj, value)) = read_dotted_write(&mut BitReader::new(payload), self.config)
-        {
+        if let Ok((dot, obj, value)) = BitReader::new(payload).read_dotted_write(self.config) {
             self.apply(dot, obj, value);
         }
     }

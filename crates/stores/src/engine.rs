@@ -1,7 +1,9 @@
 //! Shared causal-broadcast engine for the dot-based stores.
 //!
-//! The engine implements the machinery common to the DVV multi-valued
-//! register store, the ORset store and the counter store:
+//! The broadcast half of the six causal stores: the crate-private
+//! `CausalReplica<T>` (`replica.rs`) pairs it with a data type `T` and is
+//! the one `ReplicaMachine` they share (the K-delayed counterexample drives
+//! the engine directly). It implements:
 //!
 //! * assigning [`Dot`]s to local updates and batching them for the next
 //!   `send` (op-driven messages: only client operations enqueue updates);
@@ -12,13 +14,17 @@
 //!   are satisfied, then applied in causal order (the buffering technique
 //!   the paper notes real causal stores use, §3.1);
 //! * duplicate suppression via the applied version vector, so redelivered
-//!   messages are harmless.
+//!   messages are harmless;
+//! * fail-closed decoding: a payload that is truncated, has an unknown
+//!   operation tag, names a replica or object outside the [`StoreConfig`],
+//!   or declares more embedded dots than its remaining bits could hold is
+//!   ignored in its entirety.
 //!
 //! [`wire`]: crate::wire
 
 use crate::service::batch::{self, BatchDecodeError};
 use crate::vv::VersionVector;
-use crate::wire::{read_dot, read_obj, write_dot, write_obj, BitReader, BitWriter, DecodeError};
+use crate::wire::{BitReader, BitWriter, DecodeError};
 use haec_model::{Dot, ObjectId, Payload, ReplicaId, StoreConfig, Value};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -61,19 +67,6 @@ fn rename_update(u: &Update, perm: &[u32]) -> Update {
         op,
         deps: rename_vv(&u.deps, perm),
     }
-}
-
-/// Writes a dot list: `gamma0(count)` then each dot.
-fn write_dots(w: &mut BitWriter, dots: &[Dot], config: StoreConfig) {
-    w.write_gamma0(dots.len() as u64);
-    for &d in dots {
-        write_dot(w, d, config);
-    }
-}
-
-/// Reads a dot list written by [`write_dots`].
-fn read_dots(r: &mut BitReader<'_>, config: StoreConfig) -> Result<Vec<Dot>, DecodeError> {
-    (0..r.read_count()?).map(|_| read_dot(r, config)).collect()
 }
 
 /// The update operations carried in messages.
@@ -122,8 +115,8 @@ impl Update {
     /// Encodes the update into `w` using the configured replica/object
     /// widths.
     pub(crate) fn encode(&self, w: &mut BitWriter, config: StoreConfig) {
-        write_dot(w, self.dot, config);
-        write_obj(w, self.obj, config);
+        w.write_dot(self.dot, config);
+        w.write_obj(self.obj, config);
         match &self.op {
             UpdateOp::Write(v) => {
                 w.write_bits(TAG_WRITE, TAG_BITS);
@@ -136,7 +129,7 @@ impl Update {
             UpdateOp::Remove(v, dots) => {
                 w.write_bits(TAG_REMOVE, TAG_BITS);
                 w.write_gamma0(v.as_u64());
-                write_dots(w, dots, config);
+                w.write_dots(dots, config);
             }
             UpdateOp::Inc => {
                 w.write_bits(TAG_INC, TAG_BITS);
@@ -146,7 +139,7 @@ impl Update {
             }
             UpdateOp::Disable(dots) => {
                 w.write_bits(TAG_DISABLE, TAG_BITS);
-                write_dots(w, dots, config);
+                w.write_dots(dots, config);
             }
         }
         for &e in self.deps.entries() {
@@ -161,16 +154,16 @@ impl Update {
         r: &mut BitReader<'_>,
         config: StoreConfig,
     ) -> Result<Update, DecodeError> {
-        let dot = read_dot(r, config)?;
-        let obj = read_obj(r, config)?;
+        let dot = r.read_dot(config)?;
+        let obj = r.read_obj(config)?;
         let tag_at = r.position();
         let op = match r.read_bits(TAG_BITS)? {
             TAG_WRITE => UpdateOp::Write(Value::new(r.read_gamma0()?)),
             TAG_ADD => UpdateOp::Add(Value::new(r.read_gamma0()?)),
-            TAG_REMOVE => UpdateOp::Remove(Value::new(r.read_gamma0()?), read_dots(r, config)?),
+            TAG_REMOVE => UpdateOp::Remove(Value::new(r.read_gamma0()?), r.read_dots(config)?),
             TAG_INC => UpdateOp::Inc,
             TAG_ENABLE => UpdateOp::Enable,
-            TAG_DISABLE => UpdateOp::Disable(read_dots(r, config)?),
+            TAG_DISABLE => UpdateOp::Disable(r.read_dots(config)?),
             _ => return Err(DecodeError { at_bit: tag_at }),
         };
         let mut deps = VersionVector::new(config.n_replicas);

@@ -7,18 +7,31 @@
 //!   Dynamo-style, causally and eventually consistent multi-valued register
 //!   store on dotted version vectors. Both theorem constructions in
 //!   `haec-theory` run against it.
-//! * [`OrSetStore`] / [`CounterStore`] — observed-remove set (Figure 1(c))
-//!   and an op-based counter on the same causal engine.
+//! * [`OrSetStore`] / [`CounterStore`] / [`EwFlagStore`] /
+//!   [`CausalRegisterStore`] / [`MixedStore`] — observed-remove set
+//!   (Figure 1(c)), op-based counter, enable-wins flag and §6's register
+//!   analogues. With the MVR store these are *data types over one
+//!   replica*: a crate-private `CausalReplica<T>` (the
+//!   [`engine::CausalEngine`] plus `T`) is their only `ReplicaMachine`
+//!   impl; a store contributes its per-object rule — how an update folds
+//!   into state, what a read returns. The three register stores share one
+//!   sibling-set type and differ only in the read rule.
 //! * [`LwwStore`] — last-writer-wins registers via Lamport clocks:
 //!   eventually but *not* causally consistent.
 //! * Counterexample stores ([`KDelayedStore`], [`ArbitrationStore`],
 //!   [`SequencedStore`], [`BoundedStore`]) that each break one assumption
 //!   of the theorems, making the paper's necessity discussions executable.
 //! * [`wire`] — a bit-exact wire format (Elias gamma codes) so message
-//!   sizes can be measured in bits, as Theorem 12 requires.
+//!   sizes can be measured in bits, as Theorem 12 requires. Every decoder
+//!   reads ids, dots and counts through it: an id outside the
+//!   configuration or a count the payload could not carry is rejected.
 //! * [`properties`] — dynamic checkers for invisible reads (Definition 16),
 //!   op-driven messages (Definition 15), send determinism and
 //!   pending-after-send.
+//!
+//! A store that does not fit the causal-broadcast shape, or lives outside
+//! this crate, implements `ReplicaMachine` directly, as [`LwwStore`],
+//! [`CopsStore`] and the counterexamples do.
 //!
 //! ## Example
 //!

@@ -12,9 +12,7 @@
 //! builders can order `H` consistently with the store's arbitration (the
 //! LWW spec resolves conflicts by `H` order).
 
-use crate::wire::{
-    gamma_len, read_dot, read_obj, width_for, write_dot, write_obj, BitReader, BitWriter,
-};
+use crate::wire::{gamma_len, width_for, BitReader, BitWriter};
 use haec_model::{
     DoOutcome, Dot, ObjectId, Op, Payload, ReplicaId, ReplicaMachine, ReturnValue, StoreConfig,
     StoreFactory, Value,
@@ -131,8 +129,8 @@ impl ReplicaMachine for LwwReplica {
         let mut bw = BitWriter::new();
         bw.write_gamma0(self.outbox.len() as u64);
         for w in &self.outbox {
-            write_dot(&mut bw, w.dot, self.config);
-            write_obj(&mut bw, w.obj, self.config);
+            bw.write_dot(w.dot, self.config);
+            bw.write_obj(w.obj, self.config);
             bw.write_gamma(w.ts);
             bw.write_gamma0(w.value.as_u64());
         }
@@ -152,8 +150,8 @@ impl ReplicaMachine for LwwReplica {
         let Ok(count) = r.read_gamma0() else { return };
         for _ in 0..count {
             let (Ok(dot), Ok(obj), Ok(ts), Ok(value)) = (
-                read_dot(&mut r, self.config),
-                read_obj(&mut r, self.config),
+                r.read_dot(self.config),
+                r.read_obj(self.config),
                 r.read_gamma(),
                 r.read_gamma0(),
             ) else {

@@ -121,6 +121,35 @@ impl BitWriter {
         }
     }
 
+    /// Appends a dot: the replica id in `width_for(n_replicas)` bits, then
+    /// the gamma-coded sequence number.
+    pub(crate) fn write_dot(&mut self, d: Dot, config: StoreConfig) {
+        self.write_bits(u64::from(d.replica.as_u32()), width_for(config.n_replicas));
+        self.write_gamma(u64::from(d.seq));
+    }
+
+    /// Appends an object id in `width_for(n_objects)` bits.
+    pub(crate) fn write_obj(&mut self, obj: ObjectId, config: StoreConfig) {
+        self.write_bits(u64::from(obj.as_u32()), width_for(config.n_objects));
+    }
+
+    /// Appends a dot list: `gamma0(count)` then each dot.
+    pub(crate) fn write_dots(&mut self, dots: &[Dot], config: StoreConfig) {
+        self.write_gamma0(dots.len() as u64);
+        for &d in dots {
+            self.write_dot(d, config);
+        }
+    }
+
+    /// Appends one dotted register write `(dot, obj, value)` — the record
+    /// the stores that run their own broadcast (COPS, sequencer, bounded)
+    /// send.
+    pub(crate) fn write_dotted_write(&mut self, w: (Dot, ObjectId, Value), config: StoreConfig) {
+        self.write_dot(w.0, config);
+        self.write_obj(w.1, config);
+        self.write_gamma0(w.2.as_u64());
+    }
+
     /// Finishes the stream.
     pub fn finish(self) -> Payload {
         Payload::from_bits(self.buf, self.bits)
@@ -286,58 +315,35 @@ impl<'a> BitReader<'a> {
         }
         Ok(count as usize)
     }
-}
 
-/// Writes a dot: the replica id in `width_for(n_replicas)` bits, then the
-/// gamma-coded sequence number.
-pub(crate) fn write_dot(w: &mut BitWriter, d: Dot, config: StoreConfig) {
-    w.write_bits(u64::from(d.replica.as_u32()), width_for(config.n_replicas));
-    w.write_gamma(u64::from(d.seq));
-}
+    /// Reads a dot written by [`BitWriter::write_dot`], rejecting a replica
+    /// id outside the configuration.
+    pub(crate) fn read_dot(&mut self, config: StoreConfig) -> Result<Dot, DecodeError> {
+        let replica = ReplicaId::new(self.read_index(config.n_replicas)? as u32);
+        Ok(Dot::new(replica, self.read_gamma()? as u32))
+    }
 
-/// Reads a dot written by [`write_dot`], rejecting a replica id outside
-/// the configuration.
-pub(crate) fn read_dot(r: &mut BitReader<'_>, config: StoreConfig) -> Result<Dot, DecodeError> {
-    let replica = ReplicaId::new(r.read_index(config.n_replicas)? as u32);
-    Ok(Dot::new(replica, r.read_gamma()? as u32))
-}
+    /// Reads an object id written by [`BitWriter::write_obj`], rejecting
+    /// ids outside the configuration.
+    pub(crate) fn read_obj(&mut self, config: StoreConfig) -> Result<ObjectId, DecodeError> {
+        Ok(ObjectId::new(self.read_index(config.n_objects)? as u32))
+    }
 
-/// Writes an object id in `width_for(n_objects)` bits.
-pub(crate) fn write_obj(w: &mut BitWriter, obj: ObjectId, config: StoreConfig) {
-    w.write_bits(u64::from(obj.as_u32()), width_for(config.n_objects));
-}
+    /// Reads a dot list written by [`BitWriter::write_dots`].
+    pub(crate) fn read_dots(&mut self, config: StoreConfig) -> Result<Vec<Dot>, DecodeError> {
+        (0..self.read_count()?)
+            .map(|_| self.read_dot(config))
+            .collect()
+    }
 
-/// Reads an object id written by [`write_obj`], rejecting ids outside the
-/// configuration.
-pub(crate) fn read_obj(
-    r: &mut BitReader<'_>,
-    config: StoreConfig,
-) -> Result<ObjectId, DecodeError> {
-    Ok(ObjectId::new(r.read_index(config.n_objects)? as u32))
-}
-
-/// Writes one dotted register write `(dot, obj, value)` — the record the
-/// stores that run their own broadcast (COPS, sequencer, bounded) send.
-pub(crate) fn write_dotted_write(
-    w: &mut BitWriter,
-    (dot, obj, value): (Dot, ObjectId, Value),
-    config: StoreConfig,
-) {
-    write_dot(w, dot, config);
-    write_obj(w, obj, config);
-    w.write_gamma0(value.as_u64());
-}
-
-/// Reads a record written by [`write_dotted_write`].
-pub(crate) fn read_dotted_write(
-    r: &mut BitReader<'_>,
-    config: StoreConfig,
-) -> Result<(Dot, ObjectId, Value), DecodeError> {
-    Ok((
-        read_dot(r, config)?,
-        read_obj(r, config)?,
-        Value::new(r.read_gamma0()?),
-    ))
+    /// Reads a record written by [`BitWriter::write_dotted_write`].
+    pub(crate) fn read_dotted_write(
+        &mut self,
+        config: StoreConfig,
+    ) -> Result<(Dot, ObjectId, Value), DecodeError> {
+        let (dot, obj) = (self.read_dot(config)?, self.read_obj(config)?);
+        Ok((dot, obj, Value::new(self.read_gamma0()?)))
+    }
 }
 
 /// Number of bits needed to store values `0..n` (at least 1).
@@ -371,7 +377,7 @@ pub fn gamma0_len(value: u64) -> usize {
 }
 
 /// Canonical size in bits of one dotted value `(dot, value)` held in
-/// replica state: the dot as [`write_dot`] encodes it plus `γ(value + 1)`.
+/// replica state: the dot as [`BitWriter::write_dot`] encodes it plus `γ(value + 1)`.
 pub(crate) fn dotted_value_bits(config: StoreConfig, d: Dot, v: Value) -> usize {
     width_for(config.n_replicas) as usize + gamma_len(u64::from(d.seq)) + gamma0_len(v.as_u64())
 }
