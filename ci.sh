@@ -14,7 +14,7 @@ cargo build --release --locked --offline
 echo "== test (locked, offline) =="
 cargo test -q --workspace --locked --offline
 
-echo "== corrupt-payload property at 2048 cases (no store panics, aborts or half-applies on a corrupt payload; default seed, so a failure replays) =="
+echo "== corrupt-payload property at 2048 cases (no store panics or aborts on a corrupt payload, the engine-backed ones apply none of it; default seed, so a failure replays) =="
 # The 64-case default rarely lands noise on a count field; at 2048 cases
 # the oversized-count and out-of-range-id paths of every decoder are hit.
 HAEC_PROP_CASES=2048 cargo test -q --locked --offline --test properties \

@@ -195,8 +195,7 @@ impl ReplicaMachine for CopsReplica {
             }
             let Ok(count) = r.read_gamma() else { return };
             // A count the remaining bits could not carry is corrupt and
-            // must not size an allocation; ids outside the configuration
-            // would index out of the version vector.
+            // must not size an allocation.
             if count > r.remaining() as u64 {
                 return;
             }

@@ -145,9 +145,10 @@ impl BitWriter {
     /// the stores that run their own broadcast (COPS, sequencer, bounded)
     /// send.
     pub(crate) fn write_dotted_write(&mut self, w: (Dot, ObjectId, Value), config: StoreConfig) {
-        self.write_dot(w.0, config);
-        self.write_obj(w.1, config);
-        self.write_gamma0(w.2.as_u64());
+        let (dot, obj, value) = w;
+        self.write_dot(dot, config);
+        self.write_obj(obj, config);
+        self.write_gamma0(value.as_u64());
     }
 
     /// Finishes the stream.
