@@ -123,7 +123,7 @@ impl ReplicaMachine for CopsReplica {
     ///
     /// Panics if the operation is not a register operation (write/read).
     fn do_op(&mut self, obj: ObjectId, op: &Op) -> DoOutcome {
-        let visible: Vec<Dot> = self.vv.dots().collect();
+        let visible = self.vv.dot_list();
         match op {
             Op::Read => DoOutcome::new(self.objects.read(obj), visible),
             Op::Write(v) => {

@@ -315,7 +315,7 @@ impl CausalEngine {
 
     /// All dots applied at this replica — the visibility witness.
     pub fn visible_dots(&self) -> Vec<Dot> {
-        self.vv.dots().collect()
+        self.vv.dot_list()
     }
 
     /// Hash of the engine state (for fingerprinting).

@@ -79,6 +79,19 @@ impl VersionVector {
             .flat_map(|(r, &c)| (1..=c).map(move |s| Dot::new(ReplicaId::new(r as u32), s)))
     }
 
+    /// All covered dots as a list, in [`dots`](Self::dots) order. Sized up
+    /// front and filled per origin from exact-length ranges: collecting
+    /// the flat-mapped iterator instead grows the list by doubling and
+    /// took twice as long on the service path, where this list is every
+    /// operation's witness.
+    pub(crate) fn dot_list(&self) -> Vec<Dot> {
+        let mut dots = Vec::with_capacity(self.total() as usize);
+        for (r, &c) in self.entries.iter().enumerate() {
+            dots.extend((1..=c).map(|s| Dot::new(ReplicaId::new(r as u32), s)));
+        }
+        dots
+    }
+
     /// Total number of covered dots.
     pub fn total(&self) -> u64 {
         self.entries.iter().map(|&c| c as u64).sum()
@@ -162,6 +175,8 @@ mod tests {
             vec![Dot::new(r(0), 1), Dot::new(r(0), 2), Dot::new(r(1), 1)]
         );
         assert_eq!(vv.total(), 3);
+        assert_eq!(vv.dot_list(), dots);
+        assert!(VersionVector::new(2).dot_list().is_empty());
     }
 
     #[test]
