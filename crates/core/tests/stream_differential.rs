@@ -9,7 +9,8 @@
 //! event for event.
 
 use haec_core::consistency::{causal, eventual, sessions};
-use haec_core::stream::{StreamConfig, StreamError};
+use haec_core::stream::{StreamChecker, StreamConfig, StreamError, StreamStats};
+use haec_model::{Dot, ObjectId, ReplicaId};
 use haec_sim::obs::stream::StreamObserver;
 use haec_sim::obs::{self, json::Json};
 use haec_sim::{
@@ -227,4 +228,182 @@ fn stream_report_section_is_byte_identical_per_seed() {
         assert_eq!(section(&one), section(&two), "{}", factory.name());
         assert_eq!(one.stream, two.stream, "{}", factory.name());
     }
+}
+
+/// A fixed feed with *full* witnesses, the shape a service store reports:
+/// event `t` runs at replica `t % 3`, each replica cycles update, update,
+/// read over two objects, a dot becomes visible elsewhere 24 events after
+/// it was issued, and the witness lists every visible dot origin by origin
+/// in ascending seq (own dots included, the operation's own dot on every
+/// other update). With `lose_every = k`, every `k`-th update is never
+/// delivered, so the other replicas' lists have a gap at its seq. After
+/// the first few hundred events every witness is far longer than 64 dots.
+fn full_witness_feed(
+    events: usize,
+    lose_every: usize,
+) -> Vec<(ReplicaId, ObjectId, bool, Vec<Dot>)> {
+    const N: usize = 3;
+    const LAG: usize = 24;
+    // (issue event, dot), delivered dots only, in issue order.
+    let mut delivered: Vec<(usize, Dot)> = Vec::new();
+    let mut cursor = [0usize; N];
+    // known[r][origin]: seqs visible at r, ascending.
+    let mut known: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); N]; N];
+    let mut issued = [0u32; N];
+    let mut updates = 0usize;
+    let mut feed = Vec::with_capacity(events);
+    for t in 0..events {
+        let r = t % N;
+        let replica = ReplicaId::new(r as u32);
+        let is_update = (t / N) % 3 != 2;
+        let obj = ObjectId::new((t / 3) as u32 % 2);
+        while cursor[r] < delivered.len() && delivered[cursor[r]].0 + LAG <= t {
+            let d = delivered[cursor[r]].1;
+            if d.replica != replica {
+                known[r][d.replica.index()].push(d.seq);
+            }
+            cursor[r] += 1;
+        }
+        let mut own = None;
+        if is_update {
+            issued[r] += 1;
+            updates += 1;
+            let dot = Dot::new(replica, issued[r]);
+            if lose_every == 0 || !updates.is_multiple_of(lose_every) {
+                delivered.push((t, dot));
+            }
+            own = Some(dot);
+        }
+        let mut visible: Vec<Dot> = (0..N)
+            .flat_map(|o| {
+                let origin = ReplicaId::new(o as u32);
+                known[r][o].iter().map(move |&s| Dot::new(origin, s))
+            })
+            .collect();
+        if let Some(dot) = own {
+            known[r][r].push(dot.seq);
+            if dot.seq.is_multiple_of(2) {
+                visible.push(dot);
+            }
+        }
+        feed.push((replica, obj, is_update, visible));
+    }
+    feed
+}
+
+fn run_feed(events: usize, lose_every: usize, gc_window: Option<usize>) -> StreamChecker {
+    let mut checker = StreamChecker::new(StreamConfig {
+        n_replicas: 3,
+        window: 96,
+        gc_window,
+    })
+    .unwrap();
+    let feed = full_witness_feed(events, lose_every);
+    assert!(feed
+        .iter()
+        .skip(events / 2)
+        .all(|(_, _, _, w)| w.len() > 64));
+    for (replica, obj, is_update, visible) in &feed {
+        checker.push(*replica, *obj, *is_update, visible).unwrap();
+    }
+    checker.sweep();
+    checker
+}
+
+/// Known answers against the commit before witness ingest learnt to skip
+/// the stable prefix: verdicts and full statistics on fixed feeds.
+#[test]
+fn fixed_full_witness_feeds_match_their_pinned_verdicts_and_stats() {
+    // Lossless, exact GC: retirement keeps up and nothing is violated.
+    let c = run_feed(3000, 0, None);
+    assert_eq!(c.causal(), Ok(()));
+    assert_eq!(c.eventual(), Ok(()));
+    assert_eq!(c.sessions(), Ok(()));
+    assert_eq!(
+        c.stats(),
+        StreamStats {
+            events: 3000,
+            live: 26,
+            pending: 0,
+            retired: 2974,
+            forced_retired: 0,
+            peak_live: 60,
+            bytes: 6352,
+            peak_bytes: 13368,
+        }
+    );
+
+    // Every 40th update lost. Event 57 is the first lost update; its
+    // replica's later updates arrive elsewhere without it.
+    let lossy_verdicts = |c: &StreamChecker| {
+        assert_eq!(
+            c.causal(),
+            Err(causal::CausalityViolation {
+                e1: 57,
+                e2: 60,
+                e3: 88
+            })
+        );
+        assert_eq!(
+            c.eventual(),
+            Err(eventual::EventualViolation {
+                event: 57,
+                blind_event: 154,
+                window: 96
+            })
+        );
+        assert_eq!(
+            c.monotonic_writes(),
+            Err(sessions::SessionViolation::MonotonicWrites {
+                earlier: 57,
+                later: 63,
+                event: 88
+            })
+        );
+        assert_eq!(
+            c.writes_follow_reads(),
+            Err(sessions::SessionViolation::WritesFollowReads {
+                seen: 57,
+                read: 60,
+                update: 63,
+                event: 88
+            })
+        );
+    };
+
+    // Bounded window: the lost updates are force-retired, so the stable
+    // prefix keeps advancing past the gaps.
+    let c = run_feed(3000, 40, Some(128));
+    lossy_verdicts(&c);
+    assert_eq!(
+        c.stats(),
+        StreamStats {
+            events: 3000,
+            live: 72,
+            pending: 44,
+            retired: 2881,
+            forced_retired: 47,
+            peak_live: 95,
+            bytes: 17008,
+            peak_bytes: 21528,
+        }
+    );
+
+    // Exact GC on the lossy feed: the first lost update never stabilizes,
+    // so almost nothing retires and no origin's stable prefix moves.
+    let c = run_feed(1200, 40, None);
+    lossy_verdicts(&c);
+    assert_eq!(
+        c.stats(),
+        StreamStats {
+            events: 1200,
+            live: 1084,
+            pending: 1039,
+            retired: 116,
+            forced_retired: 0,
+            peak_live: 1084,
+            bytes: 317984,
+            peak_bytes: 317984,
+        }
+    );
 }
