@@ -356,6 +356,8 @@ struct ShardTally {
 
 struct Driver<'a> {
     cfg: &'a ServiceRunConfig,
+    /// The factory's name, for panic messages.
+    store: &'a str,
     cluster: ServiceCluster,
     net_rng: Rng,
     /// In-flight copies keyed `(deliver_at, enqueue seq)` — a BTreeMap so
@@ -604,20 +606,14 @@ impl Driver<'_> {
         out: &haec_model::DoOutcome,
     ) {
         let frontier = &mut self.witnessed[replica.index()][shard];
-        let delta: Vec<Dot> = out
-            .visible
-            .iter()
-            .copied()
-            .filter(|d| {
-                let seen = &mut frontier[d.replica.index()];
-                if d.seq > *seen {
-                    *seen = d.seq;
-                    true
-                } else {
-                    false
-                }
-            })
-            .collect();
+        let delta = witness_delta(frontier, &out.visible).unwrap_or_else(|d| {
+            panic!(
+                "store {:?}, shard {shard}, replica {replica}: witness dot {d} names a replica \
+                 outside 0..{}",
+                self.store,
+                frontier.len()
+            )
+        });
         self.lag[shard].on_do(&DoEvent {
             step,
             replica,
@@ -638,6 +634,32 @@ impl Driver<'_> {
     }
 }
 
+/// The dots of `visible` not yet witnessed: a dot is new iff its seq is
+/// above `frontier[origin]`, which it then raises. A store's witness only
+/// ever grows at each origin's tail, so all but a few dots are at or below
+/// the frontier; whole blocks of those after a known dot are jumped over
+/// ([`Dot::run_within`]) — they neither emit nor move the frontier.
+///
+/// # Errors
+///
+/// Returns the first dot whose replica has no frontier entry.
+fn witness_delta(frontier: &mut [u32], visible: &[Dot]) -> Result<Vec<Dot>, Dot> {
+    let mut delta = Vec::new();
+    let mut i = 0;
+    while i < visible.len() {
+        let d = visible[i];
+        i += 1;
+        let seen = frontier.get_mut(d.replica.index()).ok_or(d)?;
+        if d.seq > *seen {
+            *seen = d.seq;
+            delta.push(d);
+        } else {
+            i += Dot::run_within(&visible[i..], d.replica, 0, *seen);
+        }
+    }
+    Ok(delta)
+}
+
 /// Runs one service configuration to completion and reports.
 ///
 /// The run is: `ops` ticks of (deliver due messages; anti-entropy flush
@@ -649,7 +671,9 @@ impl Driver<'_> {
 ///
 /// # Panics
 ///
-/// Panics if `delay_max == 0` or a probability is outside `[0, 1]`.
+/// Panics if `delay_max == 0` or a probability is outside `[0, 1]`, and —
+/// naming the store, shard, replica and dot — if a store's witness names a
+/// replica outside `0..n_replicas`.
 pub fn run_service(factory: &dyn StoreFactory, cfg: &ServiceRunConfig) -> ServiceReport {
     assert!(cfg.delay_max >= 1, "delay_max must be at least 1 tick");
     assert!(
@@ -659,6 +683,7 @@ pub fn run_service(factory: &dyn StoreFactory, cfg: &ServiceRunConfig) -> Servic
     let sc = &cfg.service;
     let mut driver = Driver {
         cfg,
+        store: factory.name(),
         cluster: ServiceCluster::new(factory, sc),
         net_rng: Rng::seed_from_u64(cfg.seed ^ NET_STREAM),
         net: BTreeMap::new(),
@@ -837,6 +862,7 @@ pub fn run_service_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use haec_model::{ReplicaMachine, StoreConfig};
     use haec_stores::DvvMvrStore;
 
     fn base() -> ServiceRunConfig {
@@ -846,6 +872,106 @@ mod tests {
             seed: 7,
             ..ServiceRunConfig::default()
         }
+    }
+
+    #[test]
+    fn block_skipping_witness_delta_agrees_with_the_plain_filter() {
+        use haec_testkit::prop::{self, u64s, usizes};
+        use haec_testkit::{prop_assert_eq, Rng};
+
+        // (seed, list shape: as is | shuffled | gapped | duplicated)
+        let gen = (u64s(0..u64::MAX), usizes(0..4));
+        prop::check(
+            "block_skipping_witness_delta_agrees_with_the_plain_filter",
+            &gen,
+            |&(seed, shape)| {
+                let mut rng = Rng::seed_from_u64(seed);
+                let around = [0, 1, 15, 16, 17, 31, 32, 33];
+                let mut frontier = [0u32; 3];
+                let mut visible = Vec::new();
+                for (o, seen) in frontier.iter_mut().enumerate() {
+                    let len = if rng.gen_bool(0.2) {
+                        rng.gen_range(1000..4000u32)
+                    } else {
+                        *rng.choose(&around).unwrap() + rng.gen_range(0..70)
+                    };
+                    visible.extend((1..=len).map(|seq| Dot::new(ReplicaId::new(o as u32), seq)));
+                    // Behind the list by nothing, a block boundary or any
+                    // amount, or ahead of it.
+                    *seen = match rng.gen_range(0..4) {
+                        0 => len,
+                        1 => len.saturating_sub(*rng.choose(&around).unwrap()),
+                        2 => rng.gen_range(0..len + 1),
+                        _ => len + rng.gen_range(1..5),
+                    };
+                }
+                match shape {
+                    0 => {}
+                    1 => rng.shuffle(&mut visible),
+                    2 => visible.retain(|_| !rng.gen_bool(0.02)),
+                    _ => {
+                        for _ in 0..rng.gen_range(1..4) {
+                            let d = *rng.choose(&visible).unwrap();
+                            visible.insert(rng.gen_range(0..visible.len() + 1), d);
+                        }
+                    }
+                }
+
+                // The filter `witness_delta` replaced, dot by dot.
+                let mut want_frontier = frontier;
+                let want: Vec<Dot> = visible
+                    .iter()
+                    .copied()
+                    .filter(|d| {
+                        let seen = &mut want_frontier[d.replica.index()];
+                        if d.seq > *seen {
+                            *seen = d.seq;
+                            true
+                        } else {
+                            false
+                        }
+                    })
+                    .collect();
+                prop_assert_eq!(witness_delta(&mut frontier, &visible), Ok(want));
+                prop_assert_eq!(frontier, want_frontier);
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn witness_delta_names_the_first_dot_of_an_unknown_replica() {
+        let at = |r, seq| Dot::new(ReplicaId::new(r), seq);
+        let mut visible: Vec<Dot> = (1..=40).map(|seq| at(1, seq)).collect();
+        visible[20] = at(3, 7); // inside an otherwise known run
+        visible[30] = at(9, 1);
+        assert_eq!(witness_delta(&mut [0, 40, 0], &visible), Err(at(3, 7)));
+    }
+
+    /// Every replica one id too high, in a store one replica larger: the
+    /// last replica's dots name replica `n_replicas`.
+    struct ShiftedIds;
+
+    impl StoreFactory for ShiftedIds {
+        fn spawn(&self, replica: ReplicaId, config: StoreConfig) -> Box<dyn ReplicaMachine> {
+            let shifted = ReplicaId::new(replica.as_u32() + 1);
+            DvvMvrStore.spawn(
+                shifted,
+                StoreConfig::new(config.n_replicas + 1, config.n_objects),
+            )
+        }
+
+        fn name(&self) -> &str {
+            "shifted-ids"
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "store \"shifted-ids\", shard 0, replica R0: witness dot R3:1 names a replica outside 0..3"
+    )]
+    fn an_out_of_range_witness_dot_panics_naming_store_shard_replica_and_dot() {
+        run_service(&ShiftedIds, &base());
     }
 
     #[test]
