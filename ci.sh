@@ -20,6 +20,13 @@ echo "== corrupt-payload property at 2048 cases (no store panics or aborts on a 
 HAEC_PROP_CASES=2048 cargo test -q --locked --offline --test properties \
     corrupt_payloads_never_panic_a_store
 
+echo "== block-skip properties at 2048 cases (witness consumers that jump over the known prefix in 16-dot blocks agree with their per-dot definitions: Dot::run_within, StreamChecker ingest, the service driver's delta; release build, so the vectorised scan is the one checked; default seed, so a failure replays) =="
+# At 64 cases few lists put a planted seq-0, unissued or out-of-range dot
+# inside a block that would otherwise be skipped; at 2048 every planted
+# fault lands there many times, in prefixes of 0..33 and of thousands.
+HAEC_PROP_CASES=2048 cargo test -q --release --locked --offline \
+    -p haec-model -p haec-core -p haec-sim --lib block_skip
+
 echo "== perfbench (outside the workspace: compile the frozen benchmark surface, run its unit tests) =="
 # BENCHMARK.json's program builds against explore_all, the
 # ExhaustiveConfig/ExhaustiveReport field lists, run_service and

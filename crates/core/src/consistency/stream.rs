@@ -511,15 +511,16 @@ impl StreamChecker {
     /// ```
     ///
     /// is issued (valid), no longer unstable (absent from `dots[dr]`) and
-    /// precedes no unstable read — it contributes nothing, so whole blocks
-    /// of such dots are jumped over ([`Dot::run_within`]). (The third term
-    /// does not bind on a state `push` built: an update enters `R_r` only
-    /// together with the reads before it, so an unstable read has nothing
-    /// but unstable updates after it. It is there so that the skip does not
-    /// rest on that.) Every other dot is looked at in list order, so the
-    /// first offending dot decides the error. The read-prefix rule is
-    /// monotone in `seq` (`puc` is nondecreasing along a replica's reads),
-    /// so it runs once per origin, at the largest seq named above the floor.
+    /// precedes no unstable read — it contributes nothing, so after one
+    /// such dot whole blocks of them are jumped over ([`Dot::run_within`]).
+    /// (The third term does not bind on a state `push` built: an update
+    /// enters `R_r` only together with the reads before it, so an unstable
+    /// read has nothing but unstable updates after it. It is there so that
+    /// the skip does not rest on that.) Every other dot is looked at in
+    /// list order, so the first offending dot decides the error. The
+    /// read-prefix rule is monotone in `seq` (`puc` is nondecreasing along
+    /// a replica's reads), so it runs once per origin, at the largest seq
+    /// named above the floor.
     fn resolve_witness(
         &self,
         t: usize,
@@ -530,15 +531,11 @@ impl StreamChecker {
         visible: &[Dot],
     ) -> Result<DetSet<usize>, StreamError> {
         let n = self.config.n_replicas;
+        // `floor[dr]`, worked out at the first dot of `dr` that is not an
+        // unstable update (bit `dr` of `floored`): a delta feed, which
+        // names little else, never pays for it.
         let mut floor = [0u32; MAX_REPLICAS];
-        for (dr, floor) in floor.iter_mut().enumerate().take(n) {
-            let below_unstable = self.dots[dr].keys().next().map_or(u32::MAX, |&s| s - 1);
-            let first_read_puc = self.un_reads[dr]
-                .values()
-                .next()
-                .map_or(u32::MAX, |&puc| puc);
-            *floor = self.issued[dr].min(below_unstable).min(first_read_puc);
-        }
+        let mut floored = 0u64;
         // Largest seq named above the floor, per origin (0: none).
         let mut top = [0u32; MAX_REPLICAS];
         let mut extra = DetSet::new();
@@ -553,10 +550,6 @@ impl StreamChecker {
                     replica: d.replica,
                 });
             }
-            if (1..=floor[dr]).contains(&d.seq) {
-                i += Dot::run_within(&visible[i..], d.replica, 1, floor[dr]);
-                continue;
-            }
             if is_update && d.replica == replica && d.seq == own_seq {
                 continue; // the operation's own dot
             }
@@ -567,10 +560,24 @@ impl StreamChecker {
                 if !self.r_explicit[rho].contains(&s) {
                     extra.insert(s);
                 }
+            } else {
+                if floored & (1 << dr) == 0 {
+                    floored |= 1 << dr;
+                    let below_unstable = self.dots[dr].keys().next().map_or(u32::MAX, |&s| s - 1);
+                    let first_read_puc = self.un_reads[dr].values().next().map_or(u32::MAX, |&p| p);
+                    floor[dr] = self.issued[dr].min(below_unstable).min(first_read_puc);
+                }
+                if d.seq <= floor[dr] {
+                    i += Dot::run_within(&visible[i..], d.replica, 1, floor[dr]);
+                    continue;
+                }
             }
             top[dr] = top[dr].max(d.seq);
         }
         for (dr, &top) in top.iter().enumerate().take(n) {
+            if top == 0 {
+                continue;
+            }
             // `puc` is nondecreasing along a replica's reads, so the pool
             // is exhausted at the first read at or past the update.
             for (&f, &fpuc) in self.un_reads[dr].iter() {
@@ -1529,17 +1536,25 @@ mod tests {
         c
     }
 
-    /// A raw witness list against `issued`: per origin the prefix
-    /// `1..=len` for a length around the block boundaries or the whole
-    /// history, then (by `shape`) left alone, shuffled, gapped or with
-    /// duplicates, then `own` inserted somewhere.
-    fn raw_witness(rng: &mut Rng, issued: &[u32], shape: usize, own: Option<Dot>) -> Vec<Dot> {
+    /// A raw witness list for the state of `c`: per origin the run
+    /// `start..=len` for a length around the block boundaries or the whole
+    /// history — from 1, or from where a 16-dot block after the first dot
+    /// ends exactly on the origin's first unstable update — then (by
+    /// `shape`) left alone, shuffled, gapped or with duplicates, then `own`
+    /// inserted somewhere.
+    fn raw_witness(rng: &mut Rng, c: &StreamChecker, shape: usize, own: Option<Dot>) -> Vec<Dot> {
         let mut list = Vec::new();
-        for (o, &all) in issued.iter().enumerate() {
+        for (o, &all) in c.issued.iter().enumerate() {
             let len = *rng
                 .choose(&[0, 1, 15, 16, 17, 31, 32, 33, all, all, all])
                 .unwrap();
-            list.extend((1..=len.min(all)).map(|seq| dot(o as u32, seq)));
+            let first_unstable = c.dots[o].keys().next().map_or(all + 1, |&s| s);
+            let start = if rng.gen_bool(0.5) {
+                1
+            } else {
+                (first_unstable - 1) % 16 + 1
+            };
+            list.extend((start..=len.min(all)).map(|seq| dot(o as u32, seq)));
         }
         match shape {
             0 => {}
@@ -1586,10 +1601,15 @@ mod tests {
                 let issued_after: Vec<u32> = (0..3)
                     .map(|o| c.issued[o] + u32::from(is_update && o == rho))
                     .collect();
-                let mut list = raw_witness(&mut rng, &c.issued, shape, own);
-                // A fault planted inside what is otherwise mostly one
-                // skippable run after another.
-                let o = rng.gen_range(0..3u32);
+                let mut list = raw_witness(&mut rng, &c, shape, own);
+                // A fault planted inside its origin's run — a settled
+                // origin's by preference, whose every other dot is at or
+                // below the floor.
+                let settled = (0..3).find(|&o| c.dots[o].is_empty() && c.un_reads[o].is_empty());
+                let o = match settled {
+                    Some(o) if rng.gen_bool(0.7) => o as u32,
+                    _ => rng.gen_range(0..3u32),
+                };
                 let planted = match plant {
                     0 => Some(dot(o, 0)),
                     1 => Some(dot(o, issued_after[o as usize] + rng.gen_range(1..3))),
@@ -1597,7 +1617,11 @@ mod tests {
                     _ => None,
                 };
                 if let Some(d) = planted {
-                    list.insert(rng.gen_range(0..list.len() + 1), d);
+                    let in_run: Vec<usize> = (0..list.len())
+                        .filter(|&i| list[i].replica == r(o))
+                        .collect();
+                    let at = rng.choose(&in_run).map_or(list.len(), |&i| i);
+                    list.insert(at, d);
                 }
 
                 // The two scans, on the state `push` shows them: the
