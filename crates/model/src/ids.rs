@@ -208,14 +208,23 @@ impl Dot {
         let Some(span) = hi.checked_sub(lo) else {
             return 0;
         };
+        // `seq - lo > span` (wrapping) is `seq < lo || seq > hi` in one
+        // unsigned compare.
+        let outside =
+            |d: &Dot| (d.replica.0 ^ replica.0) | u32::from(d.seq.wrapping_sub(lo) > span);
+        // Callers ask at every dot they know; near the end of an ascending
+        // run the answer is 0 because the first block's last dot is past
+        // it, and one look there spares a fold per dot of that tail.
+        if dots
+            .get(Self::RUN_BLOCK - 1)
+            .is_none_or(|d| outside(d) != 0)
+        {
+            return 0;
+        }
         let mut run = 0;
         for block in dots.chunks_exact(Self::RUN_BLOCK) {
-            // `seq - lo > span` (wrapping) is `seq < lo || seq > hi` in one
-            // unsigned compare; OR-ing integers keeps the fold branch-free.
-            let outside = block.iter().fold(0, |outside, d| {
-                outside | (d.replica.0 ^ replica.0) | u32::from(d.seq.wrapping_sub(lo) > span)
-            });
-            if outside != 0 {
+            // OR-ing integers keeps the fold branch-free.
+            if block.iter().fold(0, |any, d| any | outside(d)) != 0 {
                 break;
             }
             run += Self::RUN_BLOCK;
