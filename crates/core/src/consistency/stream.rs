@@ -1598,9 +1598,6 @@ mod tests {
                 let rho = rng.gen_range(0..3usize);
                 let is_update = rng.gen_bool(0.5);
                 let own = is_update.then(|| dot(rho as u32, c.issued[rho] + 1));
-                let issued_after: Vec<u32> = (0..3)
-                    .map(|o| c.issued[o] + u32::from(is_update && o == rho))
-                    .collect();
                 let mut list = raw_witness(&mut rng, &c, shape, own);
                 // A fault planted inside its origin's run — a settled
                 // origin's by preference, whose every other dot is at or
@@ -1612,7 +1609,11 @@ mod tests {
                 };
                 let planted = match plant {
                     0 => Some(dot(o, 0)),
-                    1 => Some(dot(o, issued_after[o as usize] + rng.gen_range(1..3))),
+                    1 => {
+                        let issued = c.issued[o as usize]
+                            + u32::from(own.is_some_and(|d| d.replica == r(o)));
+                        Some(dot(o, issued + rng.gen_range(1..3)))
+                    }
                     2 => Some(dot(rng.gen_range(3..70), rng.gen_range(0..40))),
                     _ => None,
                 };
