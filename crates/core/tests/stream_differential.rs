@@ -17,6 +17,7 @@ use haec_sim::{
     explore_with, ExplorationConfig, Partition, ReportConfig, RunReport, ScheduleConfig,
 };
 use haec_stores::conformance_matrix;
+use haec_testkit::Rng;
 
 const WINDOW: usize = 32;
 
@@ -406,4 +407,150 @@ fn fixed_full_witness_feeds_match_their_pinned_verdicts_and_stats() {
             peak_bytes: 317984,
         }
     );
+}
+
+type FeedEvent = (ReplicaId, ObjectId, bool, Vec<Dot>);
+
+/// A feed whose witnesses are **not** causally closed, the shape a broken
+/// store reports: 3 replicas, 2 objects, 60 % updates; each replica learns
+/// of every other origin's updates as a prefix that advances in random
+/// steps with some dots left out for good, and now and then names a single
+/// recent dot ahead of that prefix. A hole makes later dots arrive without
+/// their predecessors. The hole rate goes by `seed % 3` — one dot in 10, 50
+/// or 300 — so that first violations fall early, in the middle, and after
+/// hundreds of events have stabilised and retired.
+fn hostile_feed(seed: u64, events: usize) -> Vec<FeedEvent> {
+    const N: usize = 3;
+    let mut rng = Rng::seed_from_u64(0x0BAD_F00D ^ seed);
+    let hole = [0.1, 0.02, 0.0033][(seed % 3) as usize];
+    let mut issued = [0u32; N];
+    let mut known = [[0u32; N]; N];
+    let mut feed = Vec::with_capacity(events);
+    for _ in 0..events {
+        let rho = rng.gen_range(0..N);
+        let mut visible = Vec::new();
+        for o in (0..N).filter(|&o| o != rho) {
+            let origin = ReplicaId::new(o as u32);
+            if rng.gen_bool(0.6) {
+                let behind = issued[o] - known[rho][o];
+                let step = rng.gen_range(0..behind + 1).min(rng.gen_range(1..6));
+                for seq in known[rho][o] + 1..=known[rho][o] + step {
+                    if !rng.gen_bool(hole) {
+                        visible.push(Dot::new(origin, seq));
+                    }
+                }
+                known[rho][o] += step;
+            }
+            if issued[o] > 0 && rng.gen_bool(hole) {
+                let back = rng.gen_range(0..issued[o].min(4));
+                visible.push(Dot::new(origin, issued[o] - back));
+            }
+        }
+        let is_update = rng.gen_bool(0.6);
+        issued[rho] += u32::from(is_update);
+        let obj = ObjectId::new(rng.gen_range(0..2u32));
+        feed.push((ReplicaId::new(rho as u32), obj, is_update, visible));
+    }
+    feed
+}
+
+/// FNV-1a over the `Debug` of the four verdicts after **every** push of
+/// every feed (a fresh checker per feed), and the number of pushes at
+/// which that rendering changed.
+fn verdict_trajectory(
+    feeds: &[Vec<FeedEvent>],
+    window: usize,
+    gc_window: Option<usize>,
+) -> (u64, usize) {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut changes = 0;
+    for feed in feeds {
+        let mut checker = StreamChecker::new(StreamConfig {
+            n_replicas: 3,
+            window,
+            gc_window,
+        })
+        .unwrap();
+        let mut last = String::new();
+        for (replica, obj, is_update, visible) in feed {
+            checker.push(*replica, *obj, *is_update, visible).unwrap();
+            let verdicts = format!(
+                "{:?}",
+                (
+                    checker.causal(),
+                    checker.eventual(),
+                    checker.monotonic_writes(),
+                    checker.writes_follow_reads()
+                )
+            );
+            for b in verdicts.bytes() {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            if verdicts != last {
+                changes += 1;
+                last = verdicts;
+            }
+        }
+    }
+    (hash, changes)
+}
+
+/// Known answers against the commit before the causal and session scans
+/// were cut down to the events that enter `P(t)` at `t`: the whole
+/// per-push history of verdicts and first-violation witnesses, not only
+/// where it ends. The running minima move a handful of times per feed, so
+/// the hostile case is 48 feeds of 240 events.
+#[test]
+fn fixed_feeds_match_their_pinned_per_push_verdict_trajectory() {
+    let hostile: Vec<Vec<FeedEvent>> = (0..48).map(|seed| hostile_feed(seed, 240)).collect();
+    let cases: [(
+        &str,
+        Vec<Vec<FeedEvent>>,
+        usize,
+        Option<usize>,
+        (u64, usize),
+    ); 5] = [
+        (
+            "lossless, exact",
+            vec![full_witness_feed(3000, 0)],
+            96,
+            None,
+            (0x852d5d2e3122eae5, 1),
+        ),
+        (
+            "lossy, window 128",
+            vec![full_witness_feed(3000, 40)],
+            96,
+            Some(128),
+            (0xab90202e5679851d, 3),
+        ),
+        (
+            "lossy, exact",
+            vec![full_witness_feed(1200, 40)],
+            96,
+            None,
+            (0xd43aa9797b8611bd, 3),
+        ),
+        (
+            "hostile, exact",
+            hostile.clone(),
+            16,
+            None,
+            (0x9ac4ba2517fca2a0, 222),
+        ),
+        (
+            "hostile, window 8",
+            hostile,
+            16,
+            Some(8),
+            (0xc845592818a83f99, 141),
+        ),
+    ];
+    for (label, feeds, window, gc_window, want) in cases {
+        assert_eq!(
+            verdict_trajectory(&feeds, window, gc_window),
+            want,
+            "{label}: some push changed its verdicts"
+        );
+    }
 }
