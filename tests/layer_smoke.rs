@@ -5,8 +5,10 @@
 //! so without these a change to the explorer, the service driver or the
 //! streaming checker could break its suite and still pass tier 1.
 
+use haec::core::consistency::sessions::SessionViolation;
 use haec::core::consistency::{causal, sessions};
-use haec::core::stream::StreamConfig;
+use haec::core::stream::{StreamChecker, StreamConfig};
+use haec::core::witness::{abstract_from_witness, DoWitness};
 use haec::prelude::*;
 use haec::sim::exhaustive::{
     explore_all, explore_all_parallel, explore_all_replay, ExhaustiveConfig,
@@ -106,4 +108,94 @@ fn streaming_verdicts_match_the_batch_checkers_on_one_faulty_run() {
     assert_eq!(checker.causal(), causal::check(&a));
     assert_eq!(checker.eventual(), eventual::check_prefix(&a, 32));
     assert_eq!(checker.sessions(), sessions::check_all(&a));
+}
+
+#[test]
+fn streaming_checker_pins_the_first_witnesses_of_a_lost_update() {
+    // R0 writes (event 0), reads (1), writes again (2); R1 sees both
+    // writes, then writes (4); R2 is only ever told of R0's second write.
+    // At event 5 that write enters R2's past together with the read before
+    // it (the read-prefix rule), and both arrive without event 0: the read
+    // is the first causal middle, the write the monotonic-writes and
+    // writes-follow-reads witness. The events after that name R1's write
+    // and R0's second, never its first, so every later candidate is
+    // larger. 16 events, so a window of 8 force-retires the lost update
+    // after its violations are on record.
+    let dot = |rep, seq| Dot::new(ReplicaId::new(rep), seq);
+    let mut feed: Vec<(u32, bool, Vec<Dot>)> = vec![
+        (0, true, vec![]),
+        (0, false, vec![]),
+        (0, true, vec![]),
+        (1, false, vec![dot(0, 1), dot(0, 2)]),
+        (1, true, vec![dot(0, 1), dot(0, 2)]),
+        (2, false, vec![dot(0, 2)]),
+    ];
+    for t in 6..16 {
+        let seen = vec![dot(0, 2), dot(1, 1)];
+        feed.push((t % 3, t % 2 == 0, seen));
+    }
+    for gc_window in [None, Some(8)] {
+        let mut checker = StreamChecker::new(StreamConfig {
+            n_replicas: 3,
+            window: 32,
+            gc_window,
+        })
+        .expect("valid stream config");
+        let mut ex = Execution::new(3);
+        let mut ws = Vec::new();
+        for (t, (rep, is_update, visible)) in feed.iter().enumerate() {
+            let (replica, obj) = (ReplicaId::new(*rep), ObjectId::new(0));
+            let (op, rv) = if *is_update {
+                (Op::Write(Value::new(t as u64)), ReturnValue::Ok)
+            } else {
+                (Op::Read, ReturnValue::empty())
+            };
+            let event = ex.push_do(replica, obj, op, rv);
+            ws.push(DoWitness {
+                event,
+                visible: visible.clone(),
+            });
+            assert_eq!(checker.push(replica, obj, *is_update, visible), Ok(t));
+        }
+        assert_eq!(
+            checker.causal(),
+            Err(causal::CausalityViolation {
+                e1: 0,
+                e2: 1,
+                e3: 5
+            }),
+            "{gc_window:?}"
+        );
+        assert_eq!(
+            checker.monotonic_writes(),
+            Err(SessionViolation::MonotonicWrites {
+                earlier: 0,
+                later: 2,
+                event: 5
+            }),
+            "{gc_window:?}"
+        );
+        assert_eq!(
+            checker.writes_follow_reads(),
+            Err(SessionViolation::WritesFollowReads {
+                seen: 0,
+                read: 1,
+                update: 2,
+                event: 5
+            }),
+            "{gc_window:?}"
+        );
+        let a = abstract_from_witness(&ex, &ws).expect("witness assembles");
+        assert_eq!(checker.causal(), causal::check(&a));
+        assert_eq!(checker.sessions(), sessions::check_all(&a));
+        assert_eq!(
+            checker.writes_follow_reads(),
+            sessions::check_writes_follow_reads(&a)
+        );
+        assert_eq!(
+            checker.stats().forced_retired > 0,
+            gc_window.is_some(),
+            "{gc_window:?}"
+        );
+    }
 }
