@@ -417,9 +417,9 @@ impl StreamChecker {
             merged
         };
 
-        self.scan_causal(t, &pvec);
+        self.scan_causal(t, &extra, &pvec);
         self.scan_eventual(t, obj, &pvec);
-        self.scan_sessions(t, &pvec);
+        self.scan_sessions(t, &extra, &pvec);
 
         // Promote the new entrants into R_ρ and propagate stability.
         let bit = 1u64 << rho;
@@ -637,13 +637,24 @@ impl StreamChecker {
     }
 
     /// Causal violations discovered at the arrival of `t` (as `e3`): an
-    /// `e2 ∈ P(t)` with a recorded predecessor `e1 ∉ P(t)`.
-    fn scan_causal(&mut self, t: usize, pvec: &[usize]) {
+    /// `e2` that enters `R_ρ` with `t` and has a recorded predecessor
+    /// `e1 ∉ P(t)`.
+    ///
+    /// Only the entrants are tested. An event enters `R_ρ` once, at some
+    /// push `s` at ρ: as a member of `extra(s)`, or as `s` itself — and
+    /// `s` is never a violating middle at ρ, its recorded predecessors
+    /// being `pvec(s) ⊆ R_ρ`. If `(e1, e2, t)` violates with `e2` in `R_ρ`
+    /// since `s < t`, then `e1` — live, unstable and outside `P(t)` — was
+    /// live, unstable and outside `P(s)`: liveness and instability only
+    /// ever end, and `r_explicit[ρ]` loses members only to stabilization
+    /// and retirement. So the scan at `s` recorded `(e1', e2, s)` with
+    /// `e1' ≤ e1`, which precedes `(e1, e2, t)` and already holds the
+    /// running minimum. Forced retirement only turns `in_p` true, which
+    /// keeps every step.
+    fn scan_causal(&mut self, t: usize, extra: &DetSet<usize>, pvec: &[usize]) {
         let found = spans::timed("stream.causal", || {
             let mut best: Option<(usize, usize)> = None;
-            // Unstable half: the events of `P(t)` are walked directly
-            // (pvec is the per-event explicit set, already small).
-            for &e2 in pvec.iter() {
+            for &e2 in extra.iter() {
                 let Some(le) = self.live.get(&e2) else {
                     continue;
                 };
@@ -652,24 +663,6 @@ impl StreamChecker {
                         keep_min(&mut best, (e1, e2));
                         break;
                     }
-                }
-            }
-            // Stable half via the blocker index: every stable pending
-            // event is filed under its unstable predecessors, so instead
-            // of walking the whole pending set we walk the (far smaller)
-            // blocker frontier. Per `e2`, the old walk reported its
-            // *smallest* blocked predecessor; taking each blocker's
-            // smallest dependent yields the same lexicographic minimum
-            // because dominated pairs never win. Keys ascend and `e1`
-            // dominates the pair, so the first blocker outside `P(t)`
-            // with a dependent decides.
-            for (&e1, dependents) in self.cand_causal.iter() {
-                if pvec.binary_search(&e1).is_ok() {
-                    continue;
-                }
-                if let Some(&e2) = dependents.first() {
-                    keep_min(&mut best, (e1, e2));
-                    break;
                 }
             }
             best
@@ -702,16 +695,23 @@ impl StreamChecker {
     }
 
     /// Session-guarantee violations discovered at the arrival of `t` (as
-    /// the observing event `e`): for each update `u2 ∈ P(t)`, an earlier
-    /// same-replica update `u1 ∉ P(t)` (monotonic writes) or an earlier
-    /// same-replica read whose seen update is `∉ P(t)` (writes follow
-    /// reads).
-    fn scan_sessions(&mut self, t: usize, pvec: &[usize]) {
+    /// the observing event `e`): for each update `u2` that enters `R_ρ`
+    /// with `t`, an earlier same-replica update `u1 ∉ P(t)` (monotonic
+    /// writes) or an earlier same-replica read whose seen update is
+    /// `∉ P(t)` (writes follow reads).
+    ///
+    /// Entrants only, by the argument of [`scan_causal`](Self::scan_causal):
+    /// a `u2` in `R_ρ` since `s < t` had the same `u1`, or the same read
+    /// and seen update (a read's entry lives as long as the read), outside
+    /// `P(s)`, and `(u1', u2, s)` with `u1' ≤ u1` and `(r, u2, s, u')`
+    /// precede their counterparts at `t`. An own-replica `u2` is never a
+    /// witness at ρ: the updates before it, and what the reads before it
+    /// saw, are in `R_ρ`.
+    fn scan_sessions(&mut self, t: usize, extra: &DetSet<usize>, pvec: &[usize]) {
         let (mw, wfr) = spans::timed("stream.sessions", || {
             let mut best_mw: Option<(usize, usize)> = None;
             let mut best_wfr: Option<(usize, usize, usize)> = None;
-            // Unstable half: `u2` ranges over `P(t)` directly.
-            for &u2 in pvec.iter() {
+            for &u2 in extra.iter() {
                 let Some(le) = self.live.get(&u2) else {
                     continue;
                 };
@@ -737,42 +737,6 @@ impl StreamChecker {
                             keep_min(&mut best_wfr, (r, u2, u));
                             break;
                         }
-                    }
-                }
-            }
-            // Stable half via the per-replica frontier index: the stable
-            // pending updates of each replica are kept sorted, so the
-            // witness `u2` for a blocker is a successor lookup instead of
-            // a walk over the whole pending set. A pending update past a
-            // blocker exists for a *later* blocker only if one exists for
-            // an earlier one (successor sets shrink as the bound grows),
-            // so the loops stop at the first decided element.
-            for rr in 0..self.config.n_replicas {
-                if self.pending_updates[rr].is_empty() {
-                    continue;
-                }
-                // Monotonic writes: the smallest unstable update outside
-                // `P(t)` dominates the pair, and its smallest pending
-                // successor completes the lexicographic minimum.
-                for &u1 in self.un_updates[rr].iter() {
-                    if pvec.binary_search(&u1).is_ok() {
-                        continue;
-                    }
-                    if let Some(&u2) = self.pending_updates[rr].range(u1 + 1..).next() {
-                        keep_min(&mut best_mw, (u1, u2));
-                    }
-                    break;
-                }
-                // Writes follow reads: reads ascend and dominate the
-                // triple, so the first read with a blocked seen-update
-                // and a pending successor decides.
-                for (&r, seen) in self.wfr_reads[rr].iter() {
-                    let Some(&u2) = self.pending_updates[rr].range(r + 1..).next() else {
-                        break;
-                    };
-                    if let Some(&u) = seen.iter().find(|&&u| !in_p(&self.live, pvec, u)) {
-                        keep_min(&mut best_wfr, (r, u2, u));
-                        break;
                     }
                 }
             }
@@ -1651,6 +1615,206 @@ mod tests {
                 }
                 Ok(())
             },
+        );
+    }
+
+    /// `(u1, u2)` of monotonic writes and `(r, u2, u)` of writes follow reads.
+    type SessionCandidates = (Option<(usize, usize)>, Option<(usize, usize, usize)>);
+
+    /// The definitions the entrant-only scans must agree with: the middle
+    /// element ranges over all of `P(t)` that is still resident — `pvec`,
+    /// and the stable events by a plain walk of `pending` — and every
+    /// violating tuple is a candidate.
+    impl StreamChecker {
+        fn scan_causal_full(&self, pvec: &[usize]) -> Option<(usize, usize)> {
+            let mut best = None;
+            for &e2 in pvec.iter().chain(self.pending.iter()) {
+                for &e1 in &self.live[&e2].preds {
+                    if !in_p(&self.live, pvec, e1) {
+                        keep_min(&mut best, (e1, e2));
+                    }
+                }
+            }
+            best
+        }
+
+        fn scan_sessions_full(&self, pvec: &[usize]) -> SessionCandidates {
+            let (mut best_mw, mut best_wfr) = (None, None);
+            for &u2 in pvec.iter().chain(self.pending.iter()) {
+                let le = &self.live[&u2];
+                if !le.is_update {
+                    continue;
+                }
+                let rr = le.replica.index();
+                for &u1 in self.un_updates[rr].iter() {
+                    if u1 < u2 && !in_p(&self.live, pvec, u1) {
+                        keep_min(&mut best_mw, (u1, u2));
+                    }
+                }
+                for (&r, seen) in self.wfr_reads[rr].iter() {
+                    for &u in seen {
+                        if r < u2 && !in_p(&self.live, pvec, u) {
+                            keep_min(&mut best_wfr, (r, u2, u));
+                        }
+                    }
+                }
+            }
+            (best_mw, best_wfr)
+        }
+    }
+
+    /// The witness of one event in a random hostile feed over `n` replicas.
+    /// `known[o]` is how far this replica's prefix of origin `o` has got.
+    fn hostile_witness(
+        rng: &mut Rng,
+        style: usize,
+        rho: usize,
+        issued: &[u32],
+        known: &mut [u32],
+    ) -> Vec<Dot> {
+        let mut visible = Vec::new();
+        for o in (0..issued.len()).filter(|&o| o != rho) {
+            match style {
+                // Any subset of what the origin has issued.
+                0 => {
+                    let keep = *rng.choose(&[0.0, 0.1, 0.5, 0.9]).unwrap();
+                    visible.extend(
+                        (1..=issued[o])
+                            .filter(|_| rng.gen_bool(keep))
+                            .map(|seq| dot(o as u32, seq)),
+                    );
+                }
+                // A prefix that advances in steps, with holes left for good.
+                1 => {
+                    if rng.gen_bool(0.3) {
+                        continue;
+                    }
+                    let step = rng.gen_range(0..issued[o] - known[o] + 1).min(4);
+                    for seq in known[o] + 1..=known[o] + step {
+                        if !rng.gen_bool(0.15) {
+                            visible.push(dot(o as u32, seq));
+                        }
+                    }
+                    known[o] += step;
+                }
+                // One recent dot and nothing before it.
+                _ => {
+                    if issued[o] > 0 && rng.gen_bool(0.5) {
+                        let back = rng.gen_range(0..issued[o].min(3));
+                        visible.push(dot(o as u32, issued[o] - back));
+                    }
+                }
+            }
+        }
+        visible
+    }
+
+    #[test]
+    fn entrant_only_scans_agree_with_the_full_scans_after_every_push() {
+        use haec_testkit::prop::{self, u64s, usizes};
+        use haec_testkit::prop_assert_eq;
+        use std::cell::Cell;
+
+        // (feed seed, witness style, replicas, gc_window class)
+        let gen = (u64s(0..u64::MAX), usizes(0..3), usizes(1..6), usizes(0..3));
+        // Cases that end with a causal / monotonic-writes / writes-follow-
+        // reads violation on record, and cases in all.
+        let tally = Cell::new([0usize; 4]);
+        prop::check(
+            "entrant_only_scans_agree_with_the_full_scans_after_every_push",
+            &gen,
+            |&(seed, style, n, gc)| {
+                let mut rng = Rng::seed_from_u64(seed);
+                let window = rng.gen_range(2..12usize);
+                let gc_window = match gc {
+                    0 => None,
+                    1 => Some(rng.gen_range(1..4usize)),
+                    _ => Some(rng.gen_range(6..24usize)),
+                };
+                let mut c = StreamChecker::new(StreamConfig {
+                    n_replicas: n,
+                    window,
+                    gc_window,
+                })
+                .unwrap();
+                let mut ex = Execution::new(n);
+                let mut ws = Vec::new();
+                let mut known = vec![vec![0u32; n]; n];
+                let (mut want_causal, mut want_mw, mut want_wfr) = (None, None, None);
+                for t in 0..rng.gen_range(1..48usize) {
+                    let rho = rng.gen_range(0..n);
+                    let is_update = rng.gen_bool(0.6);
+                    let obj = x(rng.gen_range(0..2u32));
+                    let visible = hostile_witness(&mut rng, style, rho, &c.issued, &mut known[rho]);
+
+                    // The full scans, on the state `push` shows its own:
+                    // the event's dot already counted as issued.
+                    c.issued[rho] += u32::from(is_update);
+                    let extra = c
+                        .resolve_witness(t, rho, is_update, c.issued[rho], r(rho as u32), &visible)
+                        .unwrap();
+                    c.issued[rho] -= u32::from(is_update);
+                    let mut pvec: Vec<usize> = c.r_explicit[rho].iter().copied().collect();
+                    pvec.extend(extra.iter());
+                    pvec.sort_unstable();
+                    if let Some((e1, e2)) = c.scan_causal_full(&pvec) {
+                        keep_min(&mut want_causal, (e1, e2, t));
+                    }
+                    let (mw, wfr) = c.scan_sessions_full(&pvec);
+                    if let Some((u1, u2)) = mw {
+                        keep_min(&mut want_mw, (u1, u2, t));
+                    }
+                    if let Some((rd, u2, u)) = wfr {
+                        keep_min(&mut want_wfr, (rd, u2, t, u));
+                    }
+
+                    prop_assert_eq!(c.push(r(rho as u32), obj, is_update, &visible), Ok(t));
+                    prop_assert_eq!(c.best_causal, want_causal, "causal after push {}", t);
+                    prop_assert_eq!(c.best_mw, want_mw, "monotonic writes after push {}", t);
+                    prop_assert_eq!(c.best_wfr, want_wfr, "writes follow reads after push {}", t);
+
+                    let (op, rv) = if is_update {
+                        (Op::Write(Value::new(t as u64)), ReturnValue::Ok)
+                    } else {
+                        (Op::Read, ReturnValue::empty())
+                    };
+                    let event = ex.push_do(r(rho as u32), obj, op, rv);
+                    ws.push(DoWitness { event, visible });
+                    if gc_window.is_none() {
+                        let a = abstract_from_witness(&ex, &ws).unwrap();
+                        prop_assert_eq!(c.causal(), causal::check(&a), "push {}", t);
+                        prop_assert_eq!(
+                            c.monotonic_writes(),
+                            sessions::check_monotonic_writes(&a),
+                            "push {}",
+                            t
+                        );
+                        prop_assert_eq!(
+                            c.writes_follow_reads(),
+                            sessions::check_writes_follow_reads(&a),
+                            "push {}",
+                            t
+                        );
+                    }
+                }
+                let mut seen = tally.get();
+                for (slot, hit) in seen.iter_mut().zip([
+                    want_causal.is_some(),
+                    want_mw.is_some(),
+                    want_wfr.is_some(),
+                    true,
+                ]) {
+                    *slot += usize::from(hit);
+                }
+                tally.set(seen);
+                Ok(())
+            },
+        );
+        let [causal, mw, wfr, cases] = tally.get();
+        assert!(
+            causal * 4 >= cases && mw * 4 >= cases && wfr * 8 >= cases,
+            "feeds too tame: {causal} causal, {mw} monotonic-writes, {wfr} writes-follow-reads \
+             violations in {cases} cases"
         );
     }
 

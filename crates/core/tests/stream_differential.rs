@@ -503,13 +503,15 @@ fn verdict_trajectory(
 #[test]
 fn fixed_feeds_match_their_pinned_per_push_verdict_trajectory() {
     let hostile: Vec<Vec<FeedEvent>> = (0..48).map(|seed| hostile_feed(seed, 240)).collect();
-    let cases: [(
-        &str,
+    // (label, feeds, window, gc_window, pinned trajectory)
+    type Case = (
+        &'static str,
         Vec<Vec<FeedEvent>>,
         usize,
         Option<usize>,
         (u64, usize),
-    ); 5] = [
+    );
+    let cases: [Case; 5] = [
         (
             "lossless, exact",
             vec![full_witness_feed(3000, 0)],
