@@ -38,9 +38,10 @@
 //! every later `t` — so it can never again be the *missing* element of any
 //! violation. An event retires (is dropped entirely) once it is stable
 //! **and** all its recorded unstable-at-arrival predecessors are stable;
-//! until then it may still be the middle element of a causal violation or
-//! the `u2` of a session violation whose missing element is one of those
-//! predecessors. Retirement is evidence-based only: a quiesce round makes
+//! until then a read still serves what it saw to the writes-follow-reads
+//! scan. (As a middle element it is done: the scans test an event when it
+//! enters an `R_r`, and a stable event has entered them all — see
+//! `scan_causal`.) Retirement is evidence-based only: a quiesce round makes
 //! events stabilize quickly but is never itself taken as proof (a store
 //! reporting partial witnesses, e.g. an LWW register dropping losing
 //! writes, must keep its losers checkable — they are exactly the events
@@ -63,7 +64,8 @@
 //! equivalence rests on the batch checkers returning the lexicographic
 //! minimum violating tuple, whose largest component is always the event at
 //! which the violation becomes knowable — the streaming checker discovers
-//! each tuple exactly then and keeps the running minimum.
+//! the first tuple of each middle element at each replica exactly then
+//! (the later ones are larger) and keeps the running minimum.
 
 use crate::consistency::causal::CausalityViolation;
 use crate::consistency::eventual::EventualViolation;
@@ -246,18 +248,6 @@ pub struct StreamChecker {
     wfr_reads: Vec<DetMap<usize, Vec<usize>>>,
     /// Per object: unstable live events (eventual-window candidates).
     ev_unstable: DetMap<ObjectId, DetSet<usize>>,
-    /// Blocker index over the stable pending half: unstable event `e1` →
-    /// the stable pending events that recorded `e1` as a predecessor. The
-    /// causal scan walks this (small) blocker frontier instead of the
-    /// whole pending set; entries die when `e1` stabilizes or retires and
-    /// when a dependent retires.
-    cand_causal: DetMap<usize, DetSet<usize>>,
-    /// Per replica: stable pending *updates*, ascending — the session
-    /// scans answer "first pending update after this blocker/read" with a
-    /// successor lookup instead of a pending-set walk.
-    pending_updates: Vec<DetSet<usize>>,
-    /// Sum of `cand_causal` set sizes (resident-bytes accounting).
-    cand_slots: usize,
     best_causal: Option<(usize, usize, usize)>,
     best_eventual: Option<(usize, usize)>,
     best_mw: Option<(usize, usize, usize)>,
@@ -309,9 +299,6 @@ impl StreamChecker {
             un_reads: vec![DetMap::new(); n],
             wfr_reads: vec![DetMap::new(); n],
             ev_unstable: DetMap::new(),
-            cand_causal: DetMap::new(),
-            pending_updates: vec![DetSet::new(); n],
-            cand_slots: 0,
             best_causal: None,
             best_eventual: None,
             best_mw: None,
@@ -760,7 +747,6 @@ impl StreamChecker {
         };
         le.stable = true;
         let (rr, is_up, seq, obj) = (le.replica.index(), le.is_update, le.seq, le.obj);
-        let preds = le.preds.clone();
         self.pending.insert(e);
         self.since_sweep += 1;
         for set in &mut self.r_explicit {
@@ -769,29 +755,11 @@ impl StreamChecker {
         if is_up {
             self.dots[rr].remove(&seq);
             self.un_updates[rr].remove(&e);
-            self.pending_updates[rr].insert(e);
         } else {
             self.un_reads[rr].remove(&e);
         }
         if let Some(set) = self.ev_unstable.get_mut(&obj) {
             set.remove(&e);
-        }
-        // File the newly-pending event under each predecessor that can
-        // still block it — that is exactly the set the causal scan must
-        // test it against from now on.
-        for p in preds {
-            if self.live.get(&p).is_some_and(|l| !l.stable)
-                && self
-                    .cand_causal
-                    .get_or_insert_with(p, DetSet::new)
-                    .insert(e)
-            {
-                self.cand_slots += 1;
-            }
-        }
-        // A stable event blocks nothing anymore: retire its own index key.
-        if let Some(set) = self.cand_causal.remove(&e) {
-            self.cand_slots -= set.len();
         }
     }
 
@@ -830,33 +798,9 @@ impl StreamChecker {
         self.pred_slots -= le.preds.len();
         self.pending.remove(&e);
         let rr = le.replica.index();
-        if le.stable {
-            // Unfile the pending event from its blockers' index entries.
-            for p in &le.preds {
-                let emptied = match self.cand_causal.get_mut(p) {
-                    Some(set) => {
-                        if set.remove(&e) {
-                            self.cand_slots -= 1;
-                        }
-                        set.is_empty()
-                    }
-                    None => false,
-                };
-                if emptied {
-                    self.cand_causal.remove(p);
-                }
-            }
-            if le.is_update {
-                self.pending_updates[rr].remove(&e);
-            }
-        }
         if forced && !le.stable {
             self.forced += 1;
-            // Optimistically visible everywhere from now on: it stops
-            // blocking its dependents too.
-            if let Some(set) = self.cand_causal.remove(&e) {
-                self.cand_slots -= set.len();
-            }
+            // Optimistically visible everywhere from now on.
             for set in &mut self.r_explicit {
                 set.remove(&e);
             }
@@ -896,10 +840,6 @@ impl StreamChecker {
         }
         for (_, set) in self.ev_unstable.iter() {
             b += set.len() * 2 * w;
-        }
-        b += self.cand_causal.len() * 3 * w + self.cand_slots * 2 * w;
-        for r in 0..self.config.n_replicas {
-            b += self.pending_updates[r].len() * 2 * w;
         }
         b
     }
@@ -1171,9 +1111,10 @@ mod tests {
 
     #[test]
     fn stable_middle_event_still_yields_violation() {
-        // R1's write stabilizes (witnessed at every replica) while the R0
-        // write it saw stays unstable — the pending pool must keep serving
-        // it as the middle of the causal violation.
+        // R1's write stabilizes at event 3, the push that brings it into
+        // R2's past without the R0 write it saw: the scan of that push
+        // finds it as the middle of the causal violation, and event 4,
+        // where it is stable and in every past, adds nothing smaller.
         let feed: Vec<Feed> = vec![
             (0, 0, true, vec![]),
             (1, 0, true, vec![dot(0, 1)]),
@@ -1340,9 +1281,9 @@ mod tests {
     }
 
     /// Deterministic lagged-echo feed: round-robin replicas, each witnessing
-    /// every other replica's dots up to `LAG` events behind. Stresses the
-    /// pending-blocker index: events go pending behind unstable predecessors,
-    /// then stabilize in waves as the lagged witnesses arrive.
+    /// every other replica's dots up to `LAG` events behind: events go
+    /// pending behind unstable predecessors, then stabilize in waves as the
+    /// lagged witnesses arrive.
     fn lagged_feed(events: usize, lag: u32) -> Vec<Feed> {
         let mut seqs = [0u32; 3];
         let mut feed = Vec::with_capacity(events);
@@ -1367,40 +1308,33 @@ mod tests {
         feed
     }
 
-    /// `cand_causal` must index exactly the live unstable blockers, and
-    /// `cand_slots` / `pending_updates` must mirror it — the scans rely on
-    /// this after any interleaving of stabilization and retirement.
-    fn assert_index_consistent(c: &StreamChecker) {
-        let mut slots = 0;
-        for (blocker, dependents) in c.cand_causal.iter() {
-            assert!(
-                c.live.get(blocker).is_some_and(|l| !l.stable),
-                "indexed blocker {blocker} is not live-unstable"
-            );
-            assert!(!dependents.is_empty(), "empty index entry for {blocker}");
-            for e in dependents.iter() {
-                assert!(
-                    c.pending.contains(e),
-                    "indexed dependent {e} is not pending"
-                );
-            }
-            slots += dependents.len();
-        }
-        assert_eq!(slots, c.cand_slots, "cand_slots out of sync");
+    /// Every pool entry names a resident event, and in every pool but
+    /// `wfr_reads` (whose entries live as long as their read) an unstable
+    /// one: stabilization and retirement, forced or not, leave nothing of
+    /// the event behind for a scan to find.
+    fn assert_pools_hold_only_resident_events(c: &StreamChecker) {
+        let unstable = |e: &usize| c.live.get(e).is_some_and(|le| !le.stable);
         for rr in 0..c.config.n_replicas {
-            for u in c.pending_updates[rr].iter() {
-                let le = c.live.get(u).expect("pending update not live");
-                assert!(le.is_update && le.stable && le.replica.index() == rr);
-            }
+            assert!(c.r_explicit[rr].iter().all(unstable), "r_explicit[{rr}]");
+            assert!(c.dots[rr].values().all(unstable), "dots[{rr}]");
+            assert!(c.un_updates[rr].iter().all(unstable), "un_updates[{rr}]");
+            assert!(c.un_reads[rr].keys().all(unstable), "un_reads[{rr}]");
+            assert!(
+                c.wfr_reads[rr].keys().all(|e| c.live.contains_key(e)),
+                "wfr_reads[{rr}]"
+            );
+        }
+        for (obj, set) in c.ev_unstable.iter() {
+            assert!(set.iter().all(unstable), "ev_unstable[{obj}]");
         }
     }
 
     #[test]
-    fn lagged_stress_agrees_with_batch_and_keeps_index_consistent() {
+    fn lagged_stress_agrees_with_batch() {
         let feed = lagged_feed(600, 24);
         let (c, a) = run_both(3, 96, &feed);
         assert_agree(&c, &a, 96);
-        assert_index_consistent(&c);
+        assert_pools_hold_only_resident_events(&c);
         let s = c.stats();
         assert_eq!(s.forced_retired, 0, "exact mode must never force-retire");
         assert!(
@@ -1410,7 +1344,7 @@ mod tests {
     }
 
     #[test]
-    fn lossy_stress_forced_retirement_keeps_index_consistent() {
+    fn lossy_stress_forced_retirement_leaves_no_pool_entry_for_a_retired_event() {
         let feed = lagged_feed(600, 24);
         let (exact, _) = run_both(3, 96, &feed);
         let mut lossy = StreamChecker::new(StreamConfig {
@@ -1425,7 +1359,7 @@ mod tests {
         let s = lossy.stats();
         assert!(s.forced_retired > 0, "gc_window 16 must force retirement");
         assert!(s.peak_bytes < exact.stats().peak_bytes);
-        assert_index_consistent(&lossy);
+        assert_pools_hold_only_resident_events(&lossy);
         // Lossy mode may miss violations whose evidence was force-retired,
         // but it never fabricates one: every lossy verdict is either the
         // exact verdict or a (weaker) pass.

@@ -312,7 +312,10 @@ fn run_feed(events: usize, lose_every: usize, gc_window: Option<usize>) -> Strea
 }
 
 /// Known answers against the commit before witness ingest learnt to skip
-/// the stable prefix: verdicts and full statistics on fixed feeds.
+/// the stable prefix: verdicts and full statistics on fixed feeds. `bytes`
+/// and `peak_bytes` fell once since, when the two indexes over the stable
+/// pending events went (13 368 → 13 016 peak on the first feed, 317 984 →
+/// 249 080 on the third, where almost everything is pending).
 #[test]
 fn fixed_full_witness_feeds_match_their_pinned_verdicts_and_stats() {
     // Lossless, exact GC: retirement keeps up and nothing is violated.
@@ -330,7 +333,7 @@ fn fixed_full_witness_feeds_match_their_pinned_verdicts_and_stats() {
             forced_retired: 0,
             peak_live: 60,
             bytes: 6352,
-            peak_bytes: 13368,
+            peak_bytes: 13016,
         }
     );
 
@@ -385,8 +388,8 @@ fn fixed_full_witness_feeds_match_their_pinned_verdicts_and_stats() {
             retired: 2881,
             forced_retired: 47,
             peak_live: 95,
-            bytes: 17008,
-            peak_bytes: 21528,
+            bytes: 15792,
+            peak_bytes: 20376,
         }
     );
 
@@ -403,8 +406,8 @@ fn fixed_full_witness_feeds_match_their_pinned_verdicts_and_stats() {
             retired: 116,
             forced_retired: 0,
             peak_live: 1084,
-            bytes: 317984,
-            peak_bytes: 317984,
+            bytes: 249080,
+            peak_bytes: 249080,
         }
     );
 }
