@@ -231,6 +231,9 @@ fn stream_report_section_is_byte_identical_per_seed() {
     }
 }
 
+/// One feed entry: replica, object, update-ness, witness.
+type FeedEvent = (ReplicaId, ObjectId, bool, Vec<Dot>);
+
 /// A fixed feed with *full* witnesses, the shape a service store reports:
 /// event `t` runs at replica `t % 3`, each replica cycles update, update,
 /// read over two objects, a dot becomes visible elsewhere 24 events after
@@ -239,10 +242,7 @@ fn stream_report_section_is_byte_identical_per_seed() {
 /// other update). With `lose_every = k`, every `k`-th update is never
 /// delivered, so the other replicas' lists have a gap at its seq. After
 /// the first few hundred events every witness is far longer than 64 dots.
-fn full_witness_feed(
-    events: usize,
-    lose_every: usize,
-) -> Vec<(ReplicaId, ObjectId, bool, Vec<Dot>)> {
+fn full_witness_feed(events: usize, lose_every: usize) -> Vec<FeedEvent> {
     const N: usize = 3;
     const LAG: usize = 24;
     // (issue event, dot), delivered dots only, in issue order.
@@ -312,10 +312,9 @@ fn run_feed(events: usize, lose_every: usize, gc_window: Option<usize>) -> Strea
 }
 
 /// Known answers against the commit before witness ingest learnt to skip
-/// the stable prefix: verdicts and full statistics on fixed feeds. `bytes`
-/// and `peak_bytes` fell once since, when the two indexes over the stable
-/// pending events went (13 368 → 13 016 peak on the first feed, 317 984 →
-/// 249 080 on the third, where almost everything is pending).
+/// the stable prefix: verdicts and full statistics on fixed feeds (`bytes`
+/// and `peak_bytes` as of the deletion of the two indexes over the stable
+/// pending events, which only lowered them).
 #[test]
 fn fixed_full_witness_feeds_match_their_pinned_verdicts_and_stats() {
     // Lossless, exact GC: retirement keeps up and nothing is violated.
@@ -411,8 +410,6 @@ fn fixed_full_witness_feeds_match_their_pinned_verdicts_and_stats() {
         }
     );
 }
-
-type FeedEvent = (ReplicaId, ObjectId, bool, Vec<Dot>);
 
 /// A feed whose witnesses are **not** causally closed, the shape a broken
 /// store reports: 3 replicas, 2 objects, 60 % updates; each replica learns

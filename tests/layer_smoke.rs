@@ -5,7 +5,6 @@
 //! so without these a change to the explorer, the service driver or the
 //! streaming checker could break its suite and still pass tier 1.
 
-use haec::core::consistency::sessions::SessionViolation;
 use haec::core::consistency::{causal, sessions};
 use haec::core::stream::{StreamChecker, StreamConfig};
 use haec::core::witness::{abstract_from_witness, DoWitness};
@@ -168,7 +167,7 @@ fn streaming_checker_pins_the_first_witnesses_of_a_lost_update() {
         );
         assert_eq!(
             checker.monotonic_writes(),
-            Err(SessionViolation::MonotonicWrites {
+            Err(sessions::SessionViolation::MonotonicWrites {
                 earlier: 0,
                 later: 2,
                 event: 5
@@ -177,7 +176,7 @@ fn streaming_checker_pins_the_first_witnesses_of_a_lost_update() {
         );
         assert_eq!(
             checker.writes_follow_reads(),
-            Err(SessionViolation::WritesFollowReads {
+            Err(sessions::SessionViolation::WritesFollowReads {
                 seen: 0,
                 read: 1,
                 update: 2,
