@@ -104,6 +104,41 @@ fn fire_fixtures_fire_and_clean_fixtures_do_not() {
     }
 }
 
+/// The line that introduces the nondeterminism in each fire fixture whose
+/// theme is a source reaching a decision: some unsuppressed diagnostic
+/// must name it, whatever lint does the naming and wherever it sits.
+const PINNED_SOURCE_LINES: [(&str, u32); 8] = [
+    ("tainted_fingerprint_fire.rs", 6),
+    ("unstable_order_sink_fire.rs", 6),
+    ("relaxed_ordering_decision_fire.rs", 8),
+    ("address_as_identity_fire.rs", 8),
+    ("unordered_iteration_fire.rs", 6),
+    ("shared_dedup_table_fire.rs", 22),
+    ("stream_frontier_fire.rs", 10),
+    ("thread_worker_pool_fire.rs", 10),
+];
+
+#[test]
+fn fire_fixtures_name_their_pinned_source_line() {
+    for (name, line) in PINNED_SOURCE_LINES {
+        let source = std::fs::read_to_string(fixture_dir().join(name)).unwrap();
+        let rel = lint_rel_path(name, &source);
+        let needle = format!("{rel}:{line}");
+        // `file:6` must not match inside `file:60`.
+        let names_line = |text: &str| {
+            text.match_indices(&needle)
+                .any(|(at, _)| !text[at + needle.len()..].starts_with(|c: char| c.is_ascii_digit()))
+        };
+        let diags = lint_source_with_policy(&rel, &source, Policy::deny_all());
+        assert!(
+            diags
+                .iter()
+                .any(|d| !d.suppressed && names_line(&d.to_string())),
+            "{name}: no unsuppressed diagnostic names line {line}: {diags:#?}"
+        );
+    }
+}
+
 #[test]
 fn every_catalog_lint_has_a_firing_fixture() {
     let mut covered: Vec<Lint> = Vec::new();
