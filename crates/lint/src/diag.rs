@@ -89,7 +89,8 @@ impl LintReport {
         out
     }
 
-    /// The report as a JSON tree (`schema_version` 1).
+    /// The report as a JSON tree (`schema_version` 2; version 1 carried
+    /// the flow lints' names in `diagnostics[].lint`).
     #[must_use]
     pub fn to_json(&self) -> Json {
         let diags = self
@@ -108,7 +109,7 @@ impl LintReport {
             .collect();
         let firing = self.unsuppressed().count();
         Json::Obj(vec![
-            ("schema_version".into(), Json::uint(1)),
+            ("schema_version".into(), Json::uint(2)),
             ("tool".into(), Json::str("haec-lint")),
             (
                 "files_scanned".into(),
@@ -185,7 +186,7 @@ mod tests {
             diagnostics: vec![d(1, Lint::AmbientEntropy, false)],
         };
         let v = Json::parse(&r.to_json_string()).expect("valid json");
-        assert_eq!(v.get("schema_version").and_then(Json::as_int), Some(1));
+        assert_eq!(v.get("schema_version").and_then(Json::as_int), Some(2));
         assert_eq!(v.get("tool").and_then(Json::as_str), Some("haec-lint"));
         assert_eq!(v.get("firing").and_then(Json::as_int), Some(1));
         let diags = v.get("diagnostics").and_then(Json::as_arr).unwrap();

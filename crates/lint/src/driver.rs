@@ -1,24 +1,21 @@
-//! The lint driver: per-file token pass, interprocedural taint pass,
-//! allow-comment handling, policy application and workspace walking.
+//! The lint driver: per-file token pass, allow-comment handling, policy
+//! application and workspace walking.
 //!
-//! Pipeline: per file, tokenize → collect `haec-lint:` control comments →
+//! Pipeline, per file: tokenize → collect `haec-lint:` control comments →
 //! collect `use` declarations (each import is checked once, at the `use`
-//! site) → scan call sites for qualified paths, print macros and
-//! hash-collection iteration. Then one workspace-wide semantic pass
-//! ([`crate::callgraph`] + [`crate::taint`]) adds source→sink flow
-//! diagnostics, attributed to the file holding the sink. Finally, per
-//! file: suppress diagnostics covered by a well-formed allow comment
-//! (tracking which allow legs actually suppressed something — unused legs
-//! raise `dead-allow`) → drop lints the crate's policy does not deny. The
-//! result is deterministic: files are walked in sorted order and
-//! diagnostics are sorted by position.
+//! site) → scan the remaining code for banned paths, methods, casts and
+//! print macros → drop lints the crate's policy does not deny → suppress
+//! diagnostics covered by a well-formed allow comment (tracking which
+//! allow legs actually suppressed something — unused legs raise
+//! `dead-allow`). Every lint is a ban on a site: a nondeterminism source
+//! fires where it stands, whatever does or does not call it. The result
+//! is deterministic: files are walked in sorted order and diagnostics are
+//! sorted by position.
 
-use crate::callgraph::Workspace;
 use crate::diag::{Diagnostic, LintReport};
 use crate::lints::{crate_key, thread_exempt, wall_clock_exempt, Lint, Policy};
 use crate::resolve::{collect_uses, Resolver};
 use crate::tokenizer::{tokenize, Tok, TokKind};
-use haec_core::det::{DetMap, DetSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -31,29 +28,36 @@ const HASH_SET_TYPES: [&str; 2] = [
     "std::collections::hash_set::HashSet",
 ];
 const WALL_CLOCK_TYPES: [&str; 2] = ["std::time::Instant", "std::time::SystemTime"];
+/// The span collector's read side: it returns `SpanRecord`s carrying
+/// wall-clock `total_ns`. (`spans::timed` needs no entry: it returns its
+/// closure's value unchanged, and the reading stays in the collector.)
+const SPAN_COLLECT: [&str; 1] = ["haec_core::spans::collect"];
 const RANDOM_STATE_TYPES: [&str; 2] = [
     "std::collections::hash_map::RandomState",
     "std::hash::RandomState",
 ];
 const AMBIENT_MODULES: [&str; 2] = ["std::env", "std::thread"];
+/// The slice of `std::thread` the worker-pool exemption does not lift.
+const THREAD_IDENTITY: [&str; 2] = ["std::thread::current", "std::thread::ThreadId"];
+const PTR_IDENTITY_FNS: [&str; 5] = [
+    "std::ptr::eq",
+    "std::ptr::hash",
+    "std::ptr::addr_of",
+    "std::ptr::addr_of_mut",
+    "std::ptr::from_ref",
+];
 
 /// Bare names worth resolving through glob imports.
-const NAMES_OF_INTEREST: [&str; 5] = ["HashMap", "HashSet", "Instant", "SystemTime", "RandomState"];
+const NAMES_OF_INTEREST: [&str; 6] = [
+    "HashMap",
+    "HashSet",
+    "Instant",
+    "SystemTime",
+    "RandomState",
+    "Relaxed",
+];
 
 const PRINT_MACROS: [&str; 3] = ["println", "eprintln", "dbg"];
-
-const ITER_METHODS: [&str; 10] = [
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "into_keys",
-    "values",
-    "values_mut",
-    "into_values",
-    "drain",
-    "retain",
-];
 
 /// Is the path (or a parent of it) one of `targets`?
 fn path_is(path: &str, targets: &[&str]) -> bool {
@@ -99,27 +103,52 @@ fn classify_path(path: &str) -> Option<(Lint, String)> {
             ),
         ));
     }
+    if path_is(path, &SPAN_COLLECT) {
+        return Some((
+            Lint::WallClock,
+            format!(
+                "`{path}` returns span records carrying wall-clock `total_ns`; nothing a \
+                 run decides or byte-compares may read them"
+            ),
+        ));
+    }
     if path_is(path, &AMBIENT_MODULES) {
         return Some((
             Lint::AmbientEntropy,
             format!("`{path}` depends on ambient process state"),
         ));
     }
+    // `std::cmp::Ordering` has no such variant, so the atomic one is meant
+    // whether or not the file's imports let the path resolve all the way.
+    if path == "Ordering::Relaxed" || path.ends_with("::Ordering::Relaxed") {
+        return Some((
+            Lint::RelaxedAtomic,
+            format!(
+                "`{path}` is an unsynchronized atomic access whose value may differ \
+                 between runs and thread counts; use `SeqCst`"
+            ),
+        ));
+    }
+    if PTR_IDENTITY_FNS.contains(&path) {
+        return Some((Lint::AddressObservation, address_message(path)));
+    }
     None
 }
 
-/// Is the resolved path under `std::thread`? The worker-pool module
-/// exemption ([`thread_exempt`]) lifts only this slice of the
-/// ambient-entropy lint — `std::env` and `RandomState` stay denied there.
-fn is_thread_path(path: &str) -> bool {
-    path_is(path.strip_prefix("::").unwrap_or(path), &["std::thread"])
+fn address_message(what: &str) -> String {
+    format!(
+        "`{what}` observes an address; addresses vary between runs even when the \
+         state is identical"
+    )
 }
 
-/// Is the resolved path a hash-collection *type* (for iteration
-/// tracking)?
-fn is_hash_collection_type(path: &str) -> bool {
+/// Does the worker-pool module exemption ([`thread_exempt`]) lift this
+/// finding? Only the `std::thread` slice of the ambient-entropy lint, and
+/// of that not thread identity — `std::env`, `RandomState` and
+/// `std::thread::current` stay denied there.
+fn thread_use_exempt(rel_path: &str, path: &str) -> bool {
     let path = path.strip_prefix("::").unwrap_or(path);
-    HASH_MAP_TYPES.contains(&path) || HASH_SET_TYPES.contains(&path)
+    thread_exempt(rel_path) && path_is(path, &["std::thread"]) && !path_is(path, &THREAD_IDENTITY)
 }
 
 /// Parses a comment body as a `haec-lint:` control comment.
@@ -182,36 +211,19 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Diagnostic> {
     lint_source_with_policy(rel_path, source, Policy::for_crate(crate_key(rel_path)))
 }
 
-/// Lints one file under an explicit policy (fixtures use deny-all). The
-/// taint pass runs file-locally here; `lint_workspace` runs it globally.
-#[must_use]
-pub fn lint_source_with_policy(rel_path: &str, source: &str, policy: Policy) -> Vec<Diagnostic> {
-    let (mut diags, allows) = token_pass(rel_path, source);
-    let ws = Workspace::build(&[(rel_path.to_owned(), source.to_owned())]);
-    diags.extend(crate::taint::analyze(&ws));
-    finish_file(rel_path, &policy, diags, &allows)
-}
-
-/// Lints one file with the token-level rules only — the PR 3 pass. Kept
-/// callable so tests can prove which findings *require* the taint pass.
-#[must_use]
-pub fn lint_source_token_level(rel_path: &str, source: &str, policy: &Policy) -> Vec<Diagnostic> {
-    let (diags, allows) = token_pass(rel_path, source);
-    finish_file(rel_path, policy, diags, &allows)
-}
-
 /// A well-formed `haec-lint: allow(…): reason` comment.
-pub(crate) struct AllowComment {
+struct AllowComment {
     line: u32,
     end_line: u32,
     col: u32,
     lints: Vec<Lint>,
 }
 
-/// The per-file token pass: control comments, import checks, call-site
-/// and iteration scans. Returns raw (unsuppressed, unfiltered)
-/// diagnostics plus the allow comments for [`finish_file`].
-fn token_pass(rel_path: &str, source: &str) -> (Vec<Diagnostic>, Vec<AllowComment>) {
+/// Lints one file under an explicit policy (fixtures use deny-all):
+/// control comments, import checks and the call-site scan, then policy
+/// filtering, suppression, the dead-allow meta-lint and sorting.
+#[must_use]
+pub fn lint_source_with_policy(rel_path: &str, source: &str, policy: Policy) -> Vec<Diagnostic> {
     let toks = tokenize(source);
     let mut diags: Vec<Diagnostic> = Vec::new();
 
@@ -240,7 +252,7 @@ fn token_pass(rel_path: &str, source: &str) -> (Vec<Diagnostic>, Vec<AllowCommen
     // Imports: each interesting import fires once, at the `use` site.
     let (resolver, imports, use_ranges) = collect_uses(&toks);
     for u in &imports {
-        if thread_exempt(rel_path) && is_thread_path(&u.path) {
+        if thread_use_exempt(rel_path, &u.path) {
             continue;
         }
         if let Some((lint, message)) = classify_path(&u.path) {
@@ -256,27 +268,14 @@ fn token_pass(rel_path: &str, source: &str) -> (Vec<Diagnostic>, Vec<AllowCommen
     }
 
     scan_call_sites(rel_path, &toks, &resolver, &use_ranges, &mut diags);
-    scan_unordered_iteration(rel_path, &toks, &resolver, &mut diags);
-    (diags, allows)
-}
 
-/// Suppression, the dead-allow meta-lint, policy filtering and sorting.
-///
-/// Order matters: exemptions and policy run *before* suppression so that
-/// allow-leg usage is counted only against findings that would actually
-/// be reported here — an allow for a lint the crate's policy never denies
-/// (or that a module exemption already silences) suppresses nothing and
-/// is flagged `dead-allow`.
-fn finish_file(
-    rel_path: &str,
-    policy: &Policy,
-    mut diags: Vec<Diagnostic>,
-    allows: &[AllowComment],
-) -> Vec<Diagnostic> {
+    // Exemptions and policy run *before* suppression so that allow-leg
+    // usage is counted only against findings that would actually be
+    // reported here — an allow for a lint the crate's policy never denies
+    // (or that a module exemption already silences) suppresses nothing
+    // and is flagged `dead-allow`.
     diags.retain(|d| {
-        policy.denies(d.lint)
-            && !(d.lint == Lint::WallClock && wall_clock_exempt(rel_path))
-            && !(d.lint == Lint::TaintedFingerprint && wall_clock_exempt(rel_path))
+        policy.denies(d.lint) && !(d.lint == Lint::WallClock && wall_clock_exempt(rel_path))
     });
 
     // Suppression: an allow on line L covers diagnostics on L (trailing
@@ -325,7 +324,8 @@ fn finish_file(
     diags
 }
 
-/// Scans non-`use` code for qualified-path occurrences and print macros.
+/// Scans non-`use` code for banned qualified paths, methods, pointer
+/// casts and print macros.
 fn scan_call_sites(
     rel_path: &str,
     toks: &[Tok],
@@ -334,6 +334,18 @@ fn scan_call_sites(
     diags: &mut Vec<Diagnostic>,
 ) {
     let in_use = |i: usize| use_ranges.iter().any(|&(s, e)| i >= s && i < e);
+    let mut fire = |at: &Tok, lint: Lint, message: String| {
+        diags.push(Diagnostic {
+            file: rel_path.to_owned(),
+            line: at.line,
+            col: at.col,
+            lint,
+            message,
+            suppressed: false,
+        });
+    };
+    // The code tokens after `toks[i]`, comments skipped.
+    let code_after = |i: usize| toks[i + 1..].iter().filter(|t| t.kind != TokKind::Comment);
     let mut prev_code: Option<usize> = None;
     let mut i = 0;
     while i < toks.len() {
@@ -346,11 +358,43 @@ fn scan_call_sites(
             i += 1;
             continue;
         }
+        let name = toks[i].text.as_str();
         // A method or field name is not a path start.
         if prev_code.is_some_and(|p| toks[p].kind == TokKind::Punct('.')) {
+            if code_after(i).next().map(|t| t.kind) == Some(TokKind::Punct('(')) {
+                match name {
+                    "sort_unstable_by" | "sort_unstable_by_key" => fire(
+                        &toks[i],
+                        Lint::UnstableSort,
+                        format!(
+                            "`.{name}()` leaves elements its comparator calls equal in \
+                             unspecified order; use the stable `sort_by`/`sort_by_key`"
+                        ),
+                    ),
+                    "as_ptr" | "as_mut_ptr" => fire(
+                        &toks[i],
+                        Lint::AddressObservation,
+                        address_message(&format!(".{name}()")),
+                    ),
+                    _ => {}
+                }
+            }
             prev_code = Some(i);
             i += 1;
             continue;
+        }
+        // `as *const T` / `as *mut T` — a pointer-producing cast.
+        if name == "as" {
+            let mut next = code_after(i);
+            if next.next().map(|t| t.kind) == Some(TokKind::Punct('*')) {
+                if let Some(m) = next.next().filter(|t| t.text == "const" || t.text == "mut") {
+                    fire(
+                        &toks[i],
+                        Lint::AddressObservation,
+                        address_message(&format!("as *{} _", m.text)),
+                    );
+                }
+            }
         }
         let start = i;
         let mut segments = vec![toks[i].text.clone()];
@@ -367,179 +411,25 @@ fn scan_call_sites(
             && PRINT_MACROS.contains(&segments[0].as_str())
             && toks.get(j).is_some_and(|t| t.kind == TokKind::Punct('!'))
         {
-            diags.push(Diagnostic {
-                file: rel_path.to_owned(),
-                line: toks[start].line,
-                col: toks[start].col,
-                lint: Lint::StrayPrint,
-                message: format!(
+            fire(
+                &toks[start],
+                Lint::StrayPrint,
+                format!(
                     "`{}!` prints from library code; route output through `obs` observers",
                     segments[0]
                 ),
-                suppressed: false,
-            });
+            );
         } else {
             let full = resolver.resolve(&segments, &NAMES_OF_INTEREST);
-            if let Some((lint, message)) = classify_path(&full) {
-                if thread_exempt(rel_path) && is_thread_path(&full) {
-                    prev_code = Some(j - 1);
-                    i = j;
-                    continue;
+            if !thread_use_exempt(rel_path, &full) {
+                if let Some((lint, message)) = classify_path(&full) {
+                    fire(&toks[start], lint, message);
                 }
-                diags.push(Diagnostic {
-                    file: rel_path.to_owned(),
-                    line: toks[start].line,
-                    col: toks[start].col,
-                    lint,
-                    message,
-                    suppressed: false,
-                });
             }
         }
         prev_code = Some(j - 1);
         i = j;
     }
-}
-
-/// Tracks bindings whose declared or constructed type is a raw hash
-/// collection, then flags iteration over them. Flow-insensitive and
-/// file-local by design: it catches collections that *escaped* the
-/// wrappers (parameters, struct fields, std API returns) even where the
-/// construction itself is out of view.
-fn scan_unordered_iteration(
-    rel_path: &str,
-    toks: &[Tok],
-    resolver: &Resolver,
-    diags: &mut Vec<Diagnostic>,
-) {
-    for (line, col, message) in unordered_iteration_sites(toks, resolver) {
-        diags.push(Diagnostic {
-            file: rel_path.to_owned(),
-            line,
-            col,
-            lint: Lint::UnorderedIteration,
-            message,
-            suppressed: false,
-        });
-    }
-}
-
-/// The positions (and messages) where hash-order iteration occurs; the
-/// taint pass reuses these as `UnorderedIter` source sites.
-pub(crate) fn unordered_iteration_sites(
-    toks: &[Tok],
-    resolver: &Resolver,
-) -> Vec<(u32, u32, String)> {
-    let mut sites = Vec::new();
-    let code: Vec<usize> = (0..toks.len())
-        .filter(|&i| toks[i].kind != TokKind::Comment)
-        .collect();
-    let ident = |k: usize| -> Option<&str> {
-        code.get(k)
-            .and_then(|&i| (toks[i].kind == TokKind::Ident).then_some(toks[i].text.as_str()))
-    };
-    let punct = |k: usize, c: char| -> bool {
-        code.get(k)
-            .is_some_and(|&i| toks[i].kind == TokKind::Punct(c))
-    };
-
-    // Reads the path at `k`, skipping leading `&`/`mut`/`::`; returns the
-    // resolved path and the index just past it.
-    let path_at = |mut k: usize| -> Option<(String, usize)> {
-        while punct(k, '&') || ident(k) == Some("mut") || punct(k, ':') {
-            k += 1;
-        }
-        let first = ident(k)?;
-        let mut segments = vec![first.to_owned()];
-        let mut j = k + 1;
-        while punct(j, ':') && punct(j + 1, ':') {
-            let Some(seg) = ident(j + 2) else { break };
-            segments.push(seg.to_owned());
-            j += 3;
-        }
-        Some((resolver.resolve(&segments, &NAMES_OF_INTEREST), j))
-    };
-
-    let mut hash_vars: DetSet<String> = DetSet::new();
-    let mut k = 0;
-    while k < code.len() {
-        // `name: [&mut] HashMap<…>` — let ascriptions, params, fields.
-        if let Some(name) = ident(k) {
-            if punct(k + 1, ':') && !punct(k + 2, ':') && !punct(k.wrapping_sub(1), ':') {
-                if let Some((path, _)) = path_at(k + 2) {
-                    if is_hash_collection_type(&path) {
-                        hash_vars.insert(name.to_owned());
-                    }
-                }
-            }
-            // `let [mut] name = HashMap::new()` and friends.
-            if name == "let" {
-                let mut v = k + 1;
-                if ident(v) == Some("mut") {
-                    v += 1;
-                }
-                if let Some(bound) = ident(v) {
-                    if punct(v + 1, '=') && !punct(v + 2, '=') {
-                        if let Some((path, _)) = path_at(v + 2) {
-                            if is_hash_collection_type(&path) {
-                                hash_vars.insert(bound.to_owned());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        k += 1;
-    }
-    if hash_vars.is_empty() {
-        return sites;
-    }
-
-    let mut k = 0;
-    while k < code.len() {
-        if let Some(name) = ident(k) {
-            let marked = hash_vars.contains(name);
-            let named_field = punct(k.wrapping_sub(1), '.');
-            // `var.iter()` / `.keys()` / … on a marked binding.
-            if marked && !named_field && punct(k + 1, '.') {
-                if let Some(m) = ident(k + 2) {
-                    if ITER_METHODS.contains(&m) && punct(k + 3, '(') {
-                        let t = &toks[code[k + 2]];
-                        sites.push((
-                            t.line,
-                            t.col,
-                            format!(
-                                "iterating hash collection `{name}` (`.{m}()`) has \
-                                 nondeterministic order; use `haec_core::det` wrappers"
-                            ),
-                        ));
-                    }
-                }
-            }
-            // `for pat in [&mut] var {` over a marked binding.
-            if name == "in" {
-                let mut v = k + 1;
-                while punct(v, '&') || ident(v) == Some("mut") {
-                    v += 1;
-                }
-                if let Some(target) = ident(v) {
-                    if hash_vars.contains(target) && punct(v + 1, '{') {
-                        let t = &toks[code[v]];
-                        sites.push((
-                            t.line,
-                            t.col,
-                            format!(
-                                "`for` over hash collection `{target}` has nondeterministic \
-                                 order; use `haec_core::det` wrappers"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-        k += 1;
-    }
-    sites
 }
 
 /// Recursively collects `.rs` files under `dir`, sorted.
@@ -559,7 +449,8 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 }
 
 /// Lints the workspace rooted at `root`: the facade `src/` tree plus
-/// every `crates/*/src` tree, each file under its crate's policy.
+/// every `crates/*/src` and `crates/*/benches` tree, each file under its
+/// crate's policy.
 ///
 /// # Errors
 ///
@@ -577,13 +468,20 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
             .collect::<io::Result<_>>()?;
         members.sort();
         for member in members {
-            let src = member.join("src");
-            if src.is_dir() {
-                collect_rs(&src, &mut files)?;
+            for tree in ["benches", "src"] {
+                let dir = member.join(tree);
+                if dir.is_dir() {
+                    collect_rs(&dir, &mut files)?;
+                }
             }
         }
     }
-    let mut inputs: Vec<(String, String)> = Vec::new();
+
+    let mut report = LintReport {
+        files_scanned: 0,
+        files: Vec::new(),
+        diagnostics: Vec::new(),
+    };
     for path in files {
         let rel = path
             .strip_prefix(root)
@@ -593,35 +491,9 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
             .collect::<Vec<_>>()
             .join("/");
         let source = std::fs::read_to_string(&path)?;
-        inputs.push((rel, source));
-    }
-
-    // One global call graph: taint flows across crate boundaries; each
-    // finding is attributed to the file holding the sink.
-    let ws = Workspace::build(&inputs);
-    let mut taint_by_file: DetMap<String, Vec<Diagnostic>> = DetMap::new();
-    for d in crate::taint::analyze(&ws) {
-        taint_by_file
-            .get_or_insert_with(d.file.clone(), Vec::new)
-            .push(d);
-    }
-
-    let mut report = LintReport {
-        files_scanned: 0,
-        files: Vec::new(),
-        diagnostics: Vec::new(),
-    };
-    for (rel, source) in &inputs {
-        let (mut diags, allows) = token_pass(rel, source);
-        if let Some(taint) = taint_by_file.get(rel.as_str()) {
-            diags.extend(taint.iter().cloned());
-        }
-        let policy = Policy::for_crate(crate_key(rel));
-        report
-            .diagnostics
-            .extend(finish_file(rel, &policy, diags, &allows));
+        report.diagnostics.extend(lint_source(&rel, &source));
         report.files_scanned += 1;
-        report.files.push(rel.clone());
+        report.files.push(rel);
     }
     report
         .diagnostics
@@ -735,6 +607,16 @@ mod tests {
             .len(),
             1
         );
+        // Nor does it cover thread identity, imported or spelled out.
+        for src in [
+            "fn f() { let me = std::thread::current().id(); }",
+            "use std::thread;\nfn f() { let me = thread::current(); }",
+            "fn f(me: std::thread::ThreadId) {}",
+        ] {
+            let got = lint_source("crates/sim/src/exhaustive/parallel.rs", src);
+            assert_eq!(got.len(), 1, "{src}: {got:?}");
+            assert_eq!(got[0].lint, Lint::AmbientEntropy, "{src}");
+        }
     }
 
     #[test]
@@ -757,27 +639,98 @@ mod tests {
     }
 
     #[test]
-    fn unordered_iteration_on_escaped_collections() {
-        // Parameter-typed collection: construction is out of view.
-        let got = lints_of(
-            "use std::collections::HashMap;\n\
-             fn f(m: &HashMap<u32, u32>) { for (k, v) in m { } }",
-        );
-        assert!(got.contains(&Lint::UnorderedIteration), "{got:?}");
-        let got = lints_of(
-            "use std::collections::HashMap;\n\
-             fn f(m: &HashMap<u32, u32>) -> Vec<u32> { m.keys().copied().collect() }",
-        );
-        assert!(got.contains(&Lint::UnorderedIteration), "{got:?}");
+    fn relaxed_atomics_fire_under_every_spelling() {
+        for src in [
+            "fn f(a: &std::sync::atomic::AtomicU64) -> u64 { a.load(std::sync::atomic::Ordering::Relaxed) }",
+            "fn f(a: &AtomicU64) -> u64 { a.load(Ordering::Relaxed) }",
+            "fn f(a: &AtomicU64) -> u64 { a.load(atomic::Ordering::Relaxed) }",
+        ] {
+            assert_eq!(lints_of(src), [Lint::RelaxedAtomic], "{src}");
+        }
+        // Through an import the `use` site fires too, like any banned path.
+        for src in [
+            "use std::sync::atomic::Ordering as O;\nfn f(a: &AtomicU64) -> u64 { a.load(O::Relaxed) }",
+            "use std::sync::atomic::Ordering::Relaxed;\nfn f(a: &AtomicU64) -> u64 { a.load(Relaxed) }",
+            "use std::sync::atomic::Ordering::*;\nfn f(a: &AtomicU64) -> u64 { a.load(Relaxed) }",
+        ] {
+            let got = lints_of(src);
+            assert!(!got.is_empty(), "{src}");
+            assert!(got.iter().all(|l| *l == Lint::RelaxedAtomic), "{src}: {got:?}");
+            assert_eq!(fire(src).last().map(|d| d.line), Some(2), "{src}");
+        }
+        assert!(lints_of(
+            "use std::sync::atomic::{AtomicU64, Ordering};\n\
+             fn f(a: &AtomicU64) -> u64 { a.fetch_add(1, Ordering::SeqCst) }"
+        )
+        .is_empty());
+        // A local enum's variant is not an atomic ordering.
+        assert!(lints_of("fn f() -> Fit { Fit::Relaxed }").is_empty());
     }
 
     #[test]
-    fn det_wrapper_iteration_is_clean() {
+    fn comparator_keyed_unstable_sorts_fire_and_keyless_ones_do_not() {
+        assert_eq!(
+            lints_of("fn s(v: &mut Vec<(u32, u8)>) { v.sort_unstable_by(|a, b| a.0.cmp(&b.0)); }"),
+            [Lint::UnstableSort]
+        );
+        assert_eq!(
+            lints_of("fn s(v: &mut Vec<(u32, u8)>) { v.sort_unstable_by_key(|a| a.0); }"),
+            [Lint::UnstableSort]
+        );
+        assert!(lints_of("fn s(v: &mut Vec<u32>) { v.sort_unstable(); }").is_empty());
+        assert!(lints_of("fn s(v: &mut Vec<(u32, u8)>) { v.sort_by_key(|a| a.0); }").is_empty());
+        // The name alone (a field, a free function) is not the method call.
+        assert!(lints_of("fn sort_unstable_by() { let f = x.sort_unstable_by; }").is_empty());
+    }
+
+    #[test]
+    fn address_observations_fire_on_the_site() {
+        for src in [
+            "fn a(xs: &[u8]) -> usize { xs.as_ptr() as usize }",
+            "fn a(xs: &mut [u8]) -> usize { xs.as_mut_ptr() as usize }",
+            "fn a(x: &u32) -> usize { x as *const u32 as usize }",
+            "fn a(x: &mut u32) -> usize { x as /* why */ *mut u32 as usize }",
+            "fn a(x: &u32, y: &u32) -> bool { std::ptr::eq(x, y) }",
+            "fn a(x: u32) -> usize { std::ptr::addr_of!(x) as usize }",
+        ] {
+            assert_eq!(lints_of(src), [Lint::AddressObservation], "{src}");
+        }
+        let got = lints_of("use std::ptr;\nfn a(x: &u32, y: &u32) -> bool { ptr::eq(x, y) }");
+        assert_eq!(got, [Lint::AddressObservation]);
+        // Contents, not addresses; a deref or a product is not a cast.
+        assert!(lints_of("fn a(xs: &[u8]) -> usize { xs.len() }").is_empty());
+        assert!(lints_of("fn a(x: &u64, n: u32) -> u64 { n as u64 * *x }").is_empty());
+        assert!(lints_of("fn a(x: &u32, y: &u32) -> bool { x == y }").is_empty());
+    }
+
+    #[test]
+    fn a_ban_needs_no_sink_and_no_caller() {
+        // Nothing here is named like a fingerprint, report or explorer,
+        // and nothing calls `entropy`: the site is the finding.
+        let got = fire(
+            "fn entropy() -> usize { let v = vec![1u8]; v.as_ptr() as usize }\n\
+             fn unrelated() -> u64 { 7 }",
+        );
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!((got[0].lint, got[0].line), (Lint::AddressObservation, 1));
+    }
+
+    #[test]
+    fn span_collect_is_a_wall_clock_read_outside_the_exempt_files() {
+        let src = "use haec_core::spans::{self, SpanRecord};\n\
+                   fn f() { let (v, spans) = spans::collect(|| 1); }";
+        let got = lint_source("crates/sim/src/obs/report.rs", src);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!((got[0].lint, got[0].line), (Lint::WallClock, 2));
+        // `timed` hands nothing back, and an iterator's `collect` is a
+        // method, not this path.
         assert!(lints_of(
-            "use haec_core::det::DetMap;\n\
-             fn f(m: &DetMap<u32, u32>) -> Vec<u32> { m.keys().copied().collect() }"
+            "use haec_core::spans;\n\
+             fn f(xs: &[u32]) -> Vec<u32> { spans::timed(\"f\", || xs.iter().copied().collect()) }"
         )
         .is_empty());
+        // CLI crates do not deny the clock, so neither its read side.
+        assert!(lint_source("crates/bench/src/x.rs", src).is_empty());
     }
 
     #[test]
@@ -848,27 +801,35 @@ mod tests {
     }
 
     #[test]
-    fn taint_flow_fires_through_the_driver_but_not_token_level() {
-        // Cross-function address→fingerprint flow: invisible to the token
-        // pass, caught by the taint pass.
-        let src = "fn entropy() -> usize { let v = vec![1u8]; v.as_ptr() as usize }\n\
-                   fn state_fingerprint() -> u64 { entropy() as u64 }";
-        let got = lints_of(src);
-        assert_eq!(got, [Lint::AddressAsIdentity]);
-        let token_only = lint_source_token_level("crates/core/src/x.rs", src, &Policy::deny_all());
-        assert!(token_only.is_empty(), "{token_only:?}");
-    }
-
-    #[test]
-    fn allow_suppresses_taint_diagnostics_at_the_sink() {
-        let src = "fn entropy() -> usize { let v = vec![1u8]; v.as_ptr() as usize }\n\
-                   fn state_fingerprint() -> u64 {\n\
-                   // haec-lint: allow(address-as-identity): demo suppression\n\
-                   entropy() as u64\n\
+    fn allow_suppresses_a_ban_on_its_site() {
+        let src = "fn entropy() -> usize {\n\
+                   let v = vec![1u8];\n\
+                   // haec-lint: allow(address-observation): demo suppression\n\
+                   v.as_ptr() as usize\n\
                    }";
         let got = fire(src);
         assert_eq!(got.len(), 1);
         assert!(got[0].suppressed);
+    }
+
+    #[test]
+    fn allows_naming_a_removed_lint_are_malformed() {
+        for gone in [
+            "tainted-fingerprint",
+            "unstable-order-sink",
+            "relaxed-ordering-decision",
+            "address-as-identity",
+            "unordered-iteration",
+        ] {
+            let got = fire(&format!("// haec-lint: allow({gone}): carried over"));
+            assert_eq!(got.len(), 1, "{gone}");
+            assert_eq!(got[0].lint, Lint::MalformedAllow, "{gone}");
+            assert!(
+                got[0].message.contains(&format!("unknown lint `{gone}`")),
+                "{}",
+                got[0].message
+            );
+        }
     }
 
     #[test]

@@ -10,20 +10,17 @@
 //! enforces that discipline *statically*, the way a sanitizer would in a
 //! training or inference stack: a small Rust tokenizer (comments, strings
 //! and raw strings handled correctly), a `use`-path resolver good enough
-//! for `std` paths, an item/signature parser ([`parse`]) feeding a
-//! workspace call graph ([`callgraph`]), an interprocedural taint pass
-//! ([`taint`]) that chases nondeterminism from where it enters to where
-//! it decides something, and a lint driver that walks `crates/*/src` and
-//! `src/` with per-crate policy.
+//! for `std` paths, and a lint driver that walks `src/`, `crates/*/src`
+//! and `crates/*/benches` with per-crate policy.
 //!
-//! The catalog ([`Lint`]): the token-level `nondeterministic-collection`,
-//! `wall-clock`, `ambient-entropy`, `stray-print`, `unordered-iteration`;
-//! the interprocedural `tainted-fingerprint`, `unstable-order-sink`,
-//! `relaxed-ordering-decision`, `address-as-identity` (each diagnostic
-//! prints the full source→sink call path); and the meta-lints
-//! `malformed-allow` and `dead-allow`. Suppressions are written in code
-//! as `// haec-lint: allow(<lint>): <reason>` and cover the comment's
-//! line and the next; a suppression that suppresses nothing is itself a
+//! Every lint in the catalog ([`Lint`]) is a ban on a site — the place a
+//! nondeterminism source stands is the finding, whatever does or does not
+//! call it: `nondeterministic-collection`, `wall-clock`,
+//! `ambient-entropy`, `stray-print`, `relaxed-atomic`, `unstable-sort`,
+//! `address-observation`; plus the meta-lints `malformed-allow` and
+//! `dead-allow`. Suppressions are written in code as
+//! `// haec-lint: allow(<lint>): <reason>` and cover the comment's line
+//! and the next; a suppression that suppresses nothing is itself a
 //! finding. See DESIGN.md §"Determinism contract & lint catalog".
 //!
 //! ```
@@ -34,20 +31,24 @@
 //!     "use std::collections::HashMap;",
 //! );
 //! assert_eq!(diags[0].lint, Lint::NondeterministicCollection);
+//!
+//! // No sink in sight, and nothing calls it: the address is the finding.
+//! let diags = lint_source(
+//!     "crates/sim/src/example.rs",
+//!     "fn key(node: &[u8]) -> usize { node.as_ptr() as usize }",
+//! );
+//! assert_eq!(diags[0].lint, Lint::AddressObservation);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod callgraph;
 pub mod diag;
 pub mod driver;
 pub mod lints;
-pub mod parse;
 pub mod resolve;
-pub mod taint;
 pub mod tokenizer;
 
 pub use diag::{Diagnostic, LintReport};
-pub use driver::{lint_source, lint_source_token_level, lint_source_with_policy, lint_workspace};
-pub use lints::{crate_key, wall_clock_exempt, Lint, Policy, ALL_LINTS, TAINT_LINTS};
+pub use driver::{lint_source, lint_source_with_policy, lint_workspace};
+pub use lints::{crate_key, wall_clock_exempt, Lint, Policy, ALL_LINTS};

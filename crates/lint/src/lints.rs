@@ -17,8 +17,9 @@ pub enum Lint {
     /// `haec_core::det::{DetMap, DetSet}`.
     NondeterministicCollection,
     /// `std::time::{Instant, SystemTime}` outside the sanctioned timing
-    /// modules (`testkit::bench`, `core::spans`). Wall-clock values must
-    /// never influence simulated behaviour.
+    /// modules (`testkit::bench`, `core::spans`), and `spans::collect`,
+    /// which hands the timer's wall-clock readings back to its caller.
+    /// Wall-clock values must never influence simulated behaviour.
     WallClock,
     /// `std::env`, `std::thread` or `RandomState`: process-ambient state
     /// that varies between runs and hosts.
@@ -26,36 +27,24 @@ pub enum Lint {
     /// `println!`/`eprintln!`/`dbg!` in library code. Output must flow
     /// through `obs` observers so runs stay quiet and machine-checkable.
     StrayPrint,
-    /// Iterating a hash collection that escaped the wrapper types (e.g.
-    /// received from an external API): the iteration order leaks
-    /// nondeterminism even if the collection itself is never constructed
-    /// here.
-    UnorderedIteration,
+    /// An `Ordering::Relaxed` atomic access, under any alias. An
+    /// unsynchronized value may differ between runs and thread counts, and
+    /// nothing in a policed crate may depend on one; use `SeqCst`.
+    RelaxedAtomic,
+    /// `.sort_unstable_by(..)` / `.sort_unstable_by_key(..)`: elements the
+    /// comparator calls equal land in an order that is an artifact of the
+    /// input permutation. The keyless `.sort_unstable()` over a total
+    /// order is fine; otherwise use the stable `sort_by{,_key}`.
+    UnstableSort,
+    /// A pointer or address observation (`as *const _`, `as *mut _`,
+    /// `.as_ptr()`, `.as_mut_ptr()`, `ptr::{eq, hash, addr_of,
+    /// addr_of_mut, from_ref}`): addresses vary between runs even when
+    /// the abstract state is identical.
+    AddressObservation,
     /// A `haec-lint:` control comment that does not parse, names an
     /// unknown lint, or omits the justification. Always denied: a typo in
     /// a suppression must not silently disable it.
     MalformedAllow,
-    /// Interprocedural: ambient nondeterminism (wall clock, environment,
-    /// thread identity) flows — possibly through several calls — into a
-    /// state fingerprint, run-report serialization or another
-    /// determinism-critical sink. The diagnostic prints the full
-    /// source→sink call path.
-    TaintedFingerprint,
-    /// Interprocedural: an unstable sort with a non-key comparator
-    /// (`sort_unstable_by`/`sort_unstable_by_key`) or hash-order iteration
-    /// orders data that reaches a canonical-enumeration, fingerprint or
-    /// counterexample-selection sink; tie order would become an
-    /// implementation artifact of the input permutation.
-    UnstableOrderSink,
-    /// Interprocedural: an `Ordering::Relaxed` atomic access feeds a
-    /// decision that selects a counterexample, orders an enumeration or
-    /// lands in a report — racy reads must never pick what gets reported.
-    RelaxedOrderingDecision,
-    /// Interprocedural: a pointer/address cast (`as *const _ as usize`,
-    /// `.as_ptr()`, `ptr::eq`) is used as identity or ordering material on
-    /// a path that reaches a fingerprint or other sink; addresses vary
-    /// between runs even when the abstract state is identical.
-    AddressAsIdentity,
     /// Meta-lint: a well-formed `haec-lint: allow(..)` suppression that no
     /// longer suppresses any finding. Dead allows rot the suppression
     /// inventory; remove them (or the lint they name from their list).
@@ -63,26 +52,16 @@ pub enum Lint {
 }
 
 /// All catalog lints, in diagnostic-sort order.
-pub const ALL_LINTS: [Lint; 11] = [
+pub const ALL_LINTS: [Lint; 9] = [
     Lint::NondeterministicCollection,
     Lint::WallClock,
     Lint::AmbientEntropy,
     Lint::StrayPrint,
-    Lint::UnorderedIteration,
+    Lint::RelaxedAtomic,
+    Lint::UnstableSort,
+    Lint::AddressObservation,
     Lint::MalformedAllow,
-    Lint::TaintedFingerprint,
-    Lint::UnstableOrderSink,
-    Lint::RelaxedOrderingDecision,
-    Lint::AddressAsIdentity,
     Lint::DeadAllow,
-];
-
-/// The four flow-aware lint classes produced by the taint pass.
-pub const TAINT_LINTS: [Lint; 4] = [
-    Lint::TaintedFingerprint,
-    Lint::UnstableOrderSink,
-    Lint::RelaxedOrderingDecision,
-    Lint::AddressAsIdentity,
 ];
 
 impl Lint {
@@ -94,12 +73,10 @@ impl Lint {
             Lint::WallClock => "wall-clock",
             Lint::AmbientEntropy => "ambient-entropy",
             Lint::StrayPrint => "stray-print",
-            Lint::UnorderedIteration => "unordered-iteration",
+            Lint::RelaxedAtomic => "relaxed-atomic",
+            Lint::UnstableSort => "unstable-sort",
+            Lint::AddressObservation => "address-observation",
             Lint::MalformedAllow => "malformed-allow",
-            Lint::TaintedFingerprint => "tainted-fingerprint",
-            Lint::UnstableOrderSink => "unstable-order-sink",
-            Lint::RelaxedOrderingDecision => "relaxed-ordering-decision",
-            Lint::AddressAsIdentity => "address-as-identity",
             Lint::DeadAllow => "dead-allow",
         }
     }
@@ -128,40 +105,33 @@ const DENY_ALL: &[Lint] = &[
     Lint::WallClock,
     Lint::AmbientEntropy,
     Lint::StrayPrint,
-    Lint::UnorderedIteration,
-    Lint::TaintedFingerprint,
-    Lint::UnstableOrderSink,
-    Lint::RelaxedOrderingDecision,
-    Lint::AddressAsIdentity,
+    Lint::RelaxedAtomic,
+    Lint::UnstableSort,
+    Lint::AddressObservation,
 ];
 
 /// Timing crates: terminal output and env-driven configuration are their
 /// interface, but collections and the wall clock stay policed (the clock
-/// only inside the sanctioned module, see [`wall_clock_exempt`]). The
-/// flow-aware taint lints stay denied: the harness may *measure* time but
-/// must not let it order or fingerprint anything.
+/// only inside the sanctioned module, see [`wall_clock_exempt`]), and so
+/// do racy reads, tie orders and addresses: the harness may *measure*
+/// time, nothing else about a run may vary.
 const DENY_TESTKIT: &[Lint] = &[
     Lint::NondeterministicCollection,
     Lint::WallClock,
-    Lint::UnorderedIteration,
-    Lint::TaintedFingerprint,
-    Lint::UnstableOrderSink,
-    Lint::RelaxedOrderingDecision,
-    Lint::AddressAsIdentity,
+    Lint::RelaxedAtomic,
+    Lint::UnstableSort,
+    Lint::AddressObservation,
 ];
 
-/// CLI crates (`bench`, `lint` itself): printing results and reading args
-/// is the point; hash collections are still banned, and so are the
-/// order/identity taint flows — the self-hosting gate holds the lint
-/// crate to its own contract. `tainted-fingerprint` alone is relaxed
-/// here: a bench frontend's *job* is serializing measured wall time into
-/// its report.
+/// CLI crates (`bench`, `lint` itself): printing results, reading args
+/// and serializing measured wall time into a report is the point; hash
+/// collections, racy reads, tie orders and addresses are still banned —
+/// the self-hosting gate holds the lint crate to its own contract.
 const DENY_CLI: &[Lint] = &[
     Lint::NondeterministicCollection,
-    Lint::UnorderedIteration,
-    Lint::UnstableOrderSink,
-    Lint::RelaxedOrderingDecision,
-    Lint::AddressAsIdentity,
+    Lint::RelaxedAtomic,
+    Lint::UnstableSort,
+    Lint::AddressObservation,
 ];
 
 impl Policy {
@@ -229,7 +199,9 @@ pub fn wall_clock_exempt(rel_path: &str) -> bool {
 /// runs share-nothing whole configs (pinned by
 /// `crates/sim/tests/determinism.rs` across thread counts). Everywhere
 /// else `std::thread` stays an ambient-entropy lint: scheduling order is
-/// exactly the kind of run-to-run variance the contract bans.
+/// exactly the kind of run-to-run variance the contract bans. Thread
+/// *identity* (`std::thread::current`, `ThreadId`) fires here too: the
+/// module needs `std::thread::scope` and nothing that tells workers apart.
 #[must_use]
 pub fn thread_exempt(rel_path: &str) -> bool {
     rel_path == "crates/sim/src/exhaustive/parallel.rs"
@@ -316,24 +288,22 @@ mod tests {
     }
 
     #[test]
-    fn taint_lints_follow_crate_policy() {
-        use crate::lints::TAINT_LINTS;
+    fn source_bans_have_no_crate_carve_outs() {
         for key in [
-            "model", "stores", "sim", "core", "theory", "haec", "testkit",
+            "model", "stores", "sim", "core", "theory", "haec", "testkit", "bench", "lint",
         ] {
             let p = Policy::for_crate(key);
-            for l in TAINT_LINTS {
+            for l in [
+                Lint::RelaxedAtomic,
+                Lint::UnstableSort,
+                Lint::AddressObservation,
+            ] {
                 assert!(p.denies(l), "{key} must deny {l}");
             }
         }
-        // CLI crates serialize measured time by design; the order/identity
-        // flows stay denied there.
+        // CLI crates serialize measured time by design.
         for key in ["bench", "lint"] {
-            let p = Policy::for_crate(key);
-            assert!(!p.denies(Lint::TaintedFingerprint));
-            assert!(p.denies(Lint::UnstableOrderSink));
-            assert!(p.denies(Lint::RelaxedOrderingDecision));
-            assert!(p.denies(Lint::AddressAsIdentity));
+            assert!(!Policy::for_crate(key).denies(Lint::WallClock));
         }
     }
 

@@ -17,7 +17,7 @@
 //! To regenerate the expected corpus after an intentional change:
 //! `HAEC_LINT_BLESS=1 cargo test -p haec-lint --test fixtures`.
 
-use haec_lint::{lint_source_token_level, lint_source_with_policy, Lint, Policy, ALL_LINTS};
+use haec_lint::{lint_source_with_policy, Lint, Policy, ALL_LINTS};
 use std::path::PathBuf;
 
 fn fixture_dir() -> PathBuf {
@@ -171,28 +171,4 @@ fn tokenizer_torture_fixture_is_completely_silent() {
     // lintable name in the fixture lives inside a literal, so any
     // diagnostic at all means the tokenizer lost track of a boundary.
     assert_eq!(render("tokenizer_torture_clean.rs"), "");
-}
-
-#[test]
-fn address_identity_flow_is_invisible_at_token_level() {
-    // The acceptance fixture for the taint pass: `as_ptr` in one
-    // function, the fingerprint in another. The PR-3 token scanner has
-    // no lint that matches either function body, so the file is clean
-    // at token level — only the interprocedural pass connects them.
-    let name = "address_as_identity_fire.rs";
-    let source = std::fs::read_to_string(fixture_dir().join(name)).unwrap();
-    let rel = format!("fixtures/{name}");
-
-    let token_only = lint_source_token_level(&rel, &source, &Policy::deny_all());
-    assert!(
-        token_only.is_empty(),
-        "token-level pass should be blind to the flow: {token_only:?}"
-    );
-
-    let full = lint_source_with_policy(&rel, &source, Policy::deny_all());
-    assert!(
-        full.iter()
-            .any(|d| d.lint == Lint::AddressAsIdentity && !d.suppressed),
-        "taint pass should connect as_ptr to the fingerprint: {full:?}"
-    );
 }

@@ -133,7 +133,7 @@ impl RunReport {
         // ingestion spans fire from observer hooks as the run proceeds)
         // and the batch checkers, so the report's `spans` section shows
         // online and batch costs side by side.
-        // haec-lint: allow(tainted-fingerprint): span total_ns is the report's one sanctioned nondeterministic field; to_json_normalized zeroes it and is the byte-identity gate
+        // haec-lint: allow(wall-clock): span total_ns is the report's one sanctioned nondeterministic field; to_json_normalized zeroes it and is the byte-identity gate
         let (consistency, spans) = spans::collect(|| {
             run_schedule(&mut sim, &mut workload, &ec.schedule, seed);
             report_on(&sim, ec, seed)
