@@ -45,12 +45,11 @@ cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 echo "== clippy (locked, offline, deny warnings) =="
 cargo clippy --workspace --locked --offline -- -D warnings
 
-echo "== haec-lint (interprocedural taint + token lints, deny mode, self-hosting) =="
-# The linter gates the whole workspace, its own sources included. The
-# --json report is archived, run twice, and byte-compared: the analysis
-# itself must be deterministic. Both runs together stay under a 10s
-# wall-clock budget — the pass is a fixpoint over function summaries,
-# not a whole-program blowup.
+echo "== haec-lint (site bans on nondeterminism sources, deny mode, self-hosting) =="
+# The linter gates the whole workspace, bench targets and its own sources
+# included. The --json report is archived, run twice, and byte-compared:
+# the linter itself must be deterministic. Both runs together stay under
+# a 10s wall-clock budget — one token pass per file.
 mkdir -p target/lint
 lint_t0=$(date +%s)
 cargo run -q --release --locked --offline -p haec-lint -- --json > target/lint/report.json
@@ -64,6 +63,13 @@ if [ $((lint_t1 - lint_t0)) -ge 10 ]; then
     echo "ci: haec-lint exceeded its 10s wall-clock budget ($((lint_t1 - lint_t0))s for two runs)" >&2
     exit 1
 fi
+
+# Every lint the binary knows is documented: the catalog table in
+# DESIGN.md §7 names each one `--list` prints.
+for lint in $(cargo run -q --release --locked --offline -p haec-lint -- --list); do
+    sed -n '/^## 7\./,/^## 8\./p' DESIGN.md | grep -q "\`$lint\`" ||
+        { echo "ci: lint $lint is missing from DESIGN.md §7" >&2; exit 1; }
+done
 
 echo "== haec-lint fixtures (known-answer corpus) =="
 cargo test -q --locked --offline -p haec-lint --test fixtures > /dev/null

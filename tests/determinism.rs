@@ -262,9 +262,10 @@ fn workload_stream_is_deterministic_standalone() {
 
 #[test]
 fn parallel_counterexample_is_thread_invariant() {
-    // Regression for the `relaxed-ordering-decision` finding the taint
-    // pass surfaced in the parallel explorer's worker loop: the unit
-    // claim / cancellation atomics now use `SeqCst`, and the surviving
+    // Regression for the `Relaxed` atomics `haec-lint` found in the
+    // parallel explorer's worker loop (`relaxed-atomic` bans them
+    // outright now): the unit claim / cancellation atomics use `SeqCst`,
+    // and the surviving
     // counterexample must be the sequential engine's *first* one at
     // every thread count — which worker happened to fail first may not
     // influence which schedule is reported.
@@ -296,6 +297,67 @@ fn parallel_counterexample_is_thread_invariant() {
             "counterexample diverges from sequential at threads={threads}"
         );
     }
+}
+
+#[test]
+fn service_report_json_is_byte_identical_across_runs_and_sweep_threads() {
+    // The dynamic half of the contract for the service path, on the cell
+    // that exercises the most of it: sharded, anti-entropy flushes,
+    // duplicated copies, a partition, online checkers fed full witnesses.
+    // The report bytes may depend on nothing but the config — not on the
+    // run, and not on how many workers the sweep fans out over.
+    use haec::sim::service::{
+        reports_json, run_service, run_service_sweep, ServicePartition, ServiceRunConfig,
+    };
+    use haec::stores::service::{Reconciliation, ServiceConfig};
+
+    let cfg = ServiceRunConfig {
+        service: ServiceConfig {
+            n_shards: 4,
+            reconciliation: Reconciliation::AntiEntropy { period: 8 },
+            ..ServiceConfig::default()
+        },
+        ops: 2000,
+        n_clients: 40,
+        read_ratio: 0.1,
+        keys: KeyDistribution::Zipf { theta: 1.0 },
+        delay_max: 8,
+        dup_prob: 0.05,
+        partition: Some(ServicePartition {
+            from_op: 500,
+            to_op: 700,
+            group: vec![ReplicaId::new(0)],
+        }),
+        stream_window: Some(4096),
+        seed: 0xD15C0,
+        ..ServiceRunConfig::default()
+    };
+    let once = run_service(&DvvMvrStore, &cfg);
+    assert!(once.duplicated > 0, "the cell must exercise duplication");
+    assert!(once.stream.is_some(), "the cell must run the checkers");
+    let baseline = reports_json(std::slice::from_ref(&once));
+    let again = reports_json(&[run_service(&DvvMvrStore, &cfg)]);
+    assert_eq!(baseline, again, "two runs of one config");
+    // The sweep gets the cell twice with a plain one between, so its
+    // four workers really do run it concurrently with other work.
+    let plain = ServiceRunConfig {
+        ops: 500,
+        ..ServiceRunConfig::default()
+    };
+    let configs = [cfg.clone(), plain, cfg];
+    let solo = run_service_sweep(&DvvMvrStore, &configs, 1);
+    let wide = run_service_sweep(&DvvMvrStore, &configs, 4);
+    assert_eq!(
+        reports_json(&solo),
+        reports_json(&wide),
+        "sweep at 1 and 4 threads"
+    );
+    assert_eq!(
+        reports_json(&solo[..1]),
+        baseline,
+        "sweep cell vs run_service"
+    );
+    assert_eq!(reports_json(&solo[2..]), baseline, "position in the sweep");
 }
 
 #[test]
