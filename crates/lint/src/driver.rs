@@ -28,10 +28,11 @@ const HASH_SET_TYPES: [&str; 2] = [
     "std::collections::hash_set::HashSet",
 ];
 const WALL_CLOCK_TYPES: [&str; 2] = ["std::time::Instant", "std::time::SystemTime"];
-/// The span collector's read side: it returns `SpanRecord`s carrying
-/// wall-clock `total_ns`. (`spans::timed` needs no entry: it returns its
-/// closure's value unchanged, and the reading stays in the collector.)
-const SPAN_COLLECT: [&str; 1] = ["haec_core::spans::collect"];
+/// The span collector's read side, as named outside and inside
+/// `haec-core`: it returns `SpanRecord`s carrying wall-clock `total_ns`.
+/// (`spans::timed` needs no entry: it returns its closure's value
+/// unchanged, and the reading stays in the collector.)
+const SPAN_COLLECT: [&str; 2] = ["haec_core::spans::collect", "crate::spans::collect"];
 const RANDOM_STATE_TYPES: [&str; 2] = [
     "std::collections::hash_map::RandomState",
     "std::hash::RandomState",
@@ -477,11 +478,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
         }
     }
 
-    let mut report = LintReport {
-        files_scanned: 0,
-        files: Vec::new(),
-        diagnostics: Vec::new(),
-    };
+    let mut report = LintReport::default();
     for path in files {
         let rel = path
             .strip_prefix(root)
@@ -731,6 +728,11 @@ mod tests {
         .is_empty());
         // CLI crates do not deny the clock, so neither its read side.
         assert!(lint_source("crates/bench/src/x.rs", src).is_empty());
+        // Inside `haec-core` the same function is `crate::spans::collect`.
+        assert_eq!(
+            lints_of("fn f() { let (v, spans) = crate::spans::collect(|| 1); }"),
+            [Lint::WallClock]
+        );
     }
 
     #[test]

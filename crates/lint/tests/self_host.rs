@@ -70,7 +70,6 @@ fn every_workspace_suppression_carries_a_reason() {
         ("crates/sim/src/obs/report.rs", Lint::WallClock),
         "{d:?}"
     );
-    assert!(!d.message.is_empty());
 }
 
 #[test]

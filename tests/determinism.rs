@@ -265,10 +265,9 @@ fn parallel_counterexample_is_thread_invariant() {
     // Regression for the `Relaxed` atomics `haec-lint` found in the
     // parallel explorer's worker loop (`relaxed-atomic` bans them
     // outright now): the unit claim / cancellation atomics use `SeqCst`,
-    // and the surviving
-    // counterexample must be the sequential engine's *first* one at
-    // every thread count — which worker happened to fail first may not
-    // influence which schedule is reported.
+    // and the surviving counterexample must be the sequential engine's
+    // *first* one at every thread count — which worker happened to fail
+    // first may not influence which schedule is reported.
     use haec::sim::exhaustive::{explore_all, explore_all_parallel, ExhaustiveConfig};
 
     fn causal_check(sim: &Simulator) -> bool {
