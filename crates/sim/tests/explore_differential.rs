@@ -15,7 +15,8 @@ use haec_sim::exhaustive::{
 };
 use haec_sim::Simulator;
 use haec_stores::{
-    BoundedStore, CausalRegisterStore, CopsStore, DvvMvrStore, EwFlagStore, LwwStore, OrSetStore,
+    ArbitrationStore, BoundedStore, CausalRegisterStore, CopsStore, CounterStore, DvvMvrStore,
+    EwFlagStore, KDelayedStore, LwwStore, OrSetStore, SequencedStore,
 };
 use std::collections::BTreeSet;
 
@@ -610,6 +611,239 @@ fn parallel_dedup_counters_known_answers() {
         (6059, 756, 3221),
         (6059, 818, 4682),
     );
+}
+
+/// FNV-1a (64-bit) of `bytes`, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One pinned walk: `(store, replicas, objects, depth, dedup + por,
+/// visited prefixes, FNV-1a over the Debug of every abstract_execution())`.
+type PinnedWalk = (&'static str, usize, usize, usize, bool, usize, u64);
+
+/// One pinned search: `(store, replicas, objects, depth, dedup + por,
+/// first counterexample)`, the counterexample as FNV-1a of the prefix's
+/// `Debug` and the violation's `Debug` verbatim.
+type PinnedSearch<S> = (&'static str, usize, usize, usize, bool, Option<(u64, S)>);
+
+/// A store under the pin: `(name, factory, spec, ops, cluster shape)`.
+type RosterRow<'a> = (
+    &'static str,
+    &'a dyn StoreFactory,
+    SpecKind,
+    &'a Vec<Op>,
+    StoreConfig,
+);
+
+/// Generated at 140f043, before the abstract execution became incremental.
+#[rustfmt::skip]
+const PINNED_WALKS: &[PinnedWalk] = &[
+    ("dvv-mvr", 2, 1, 4, false, 567, 0xcf60f1df1807a286),
+    ("dvv-mvr", 2, 1, 4, true, 176, 0x5d4475113457618d),
+    ("cops-mvr", 2, 1, 4, false, 567, 0xcf60f1df1807a286),
+    ("cops-mvr", 2, 1, 4, true, 176, 0x5d4475113457618d),
+    ("causal-register", 2, 1, 4, false, 567, 0xcf60f1df1807a286),
+    ("causal-register", 2, 1, 4, true, 176, 0x5d4475113457618d),
+    ("lww", 2, 1, 4, false, 567, 0xcf60f1df1807a286),
+    ("lww", 2, 1, 4, true, 176, 0x5d4475113457618d),
+    ("orset", 2, 1, 4, false, 2435, 0x74b4e0e81177a9c6),
+    ("orset", 2, 1, 4, true, 753, 0x846794ff6c2fc30b),
+    ("counter", 2, 1, 4, false, 567, 0xff8e1f2b41de1b84),
+    ("counter", 2, 1, 4, true, 103, 0x3ddcf4611f542951),
+    ("ew-flag", 2, 1, 4, false, 2435, 0x03f0c30b674b83b6),
+    ("ew-flag", 2, 1, 4, true, 471, 0x278ab343b791c660),
+    ("k-delayed", 2, 1, 4, false, 567, 0x6d953c769fe85fda),
+    ("k-delayed", 2, 1, 4, true, 223, 0x4177a7a542be5634),
+    ("arbitration-mvr", 3, 2, 4, false, 28123, 0x68487c6f08b1cb14),
+    ("arbitration-mvr", 3, 2, 4, true, 1863, 0x481088c11cc6ca31),
+    ("bounded", 3, 2, 4, false, 28123, 0x68487c6f08b1cb14),
+    ("bounded", 3, 2, 4, true, 1683, 0x860a51e88c432ceb),
+    ("sequenced", 3, 1, 4, false, 2361, 0x0d4e222a4d8b579c),
+    ("sequenced", 3, 1, 4, true, 406, 0x5f4c0d54f94928e1),
+    ("dvv-mvr", 3, 2, 5, false, 386419, 0xfb6251fec8a9a56e),
+    ("dvv-mvr", 3, 2, 5, true, 9732, 0xb35113f4bacf8be8),
+];
+
+/// Generated at 140f043 with the walks above.
+#[rustfmt::skip]
+const PINNED_SEARCHES: &[PinnedSearch<&str>] = &[
+    ("dvv-mvr", 2, 1, 4, false, None),
+    ("cops-mvr", 2, 1, 4, false, None),
+    ("causal-register", 2, 1, 4, false, None),
+    ("lww", 2, 1, 4, false, None),
+    ("orset", 2, 1, 4, false, None),
+    ("counter", 2, 1, 4, false, None),
+    ("ew-flag", 2, 1, 4, false, None),
+    ("k-delayed", 2, 1, 4, false, None),
+    ("arbitration-mvr", 3, 2, 4, false, None),
+    ("bounded", 3, 2, 4, false, None),
+    ("sequenced", 3, 1, 4, false, Some((0x322c193c55e93875, "CorrectnessViolation { event: 3, expected: Values({Value(1002)}), actual: Values({}) }"))),
+    ("arbitration-mvr", 3, 1, 6, true, Some((0x6a448237c6f682a5, "CorrectnessViolation { event: 3, expected: Values({Value(1001), Value(1003)}), actual: Values({Value(1001)}) }"))),
+    ("bounded", 3, 1, 7, true, Some((0x98a17d2df916b2d3, "CausalityViolation { e1: 2, e2: 3, e3: 4 }"))),
+];
+
+/// Walks `config`'s tree with an always-true predicate and hashes the
+/// `Debug` of `abstract_execution()` — the `Ok` value or the `Err` — at
+/// every visited prefix, in visit order. The live simulator the DFS walks
+/// and undoes is the one asked; a fresh `replay` of the same prefix must
+/// say the same.
+fn pin_walk(
+    name: &'static str,
+    factory: &dyn StoreFactory,
+    config: &ExhaustiveConfig,
+) -> PinnedWalk {
+    assert_eq!(factory.name(), name);
+    let mut hash = FNV_OFFSET;
+    let mut nodes = 0usize;
+    // The trace hook fires with a node's prefix just before the predicate
+    // sees the live simulator at that node.
+    let replayed = std::cell::RefCell::new(String::new());
+    explore_all_traced(
+        factory,
+        config,
+        &mut |sim| {
+            let live = format!("{:?}", sim.abstract_execution());
+            assert_eq!(
+                live,
+                *replayed.borrow(),
+                "{name}: the walked simulator disagrees with a fresh replay"
+            );
+            hash = fnv1a(hash, live.as_bytes());
+            nodes += 1;
+            true
+        },
+        &mut |prefix| {
+            *replayed.borrow_mut() =
+                format!("{:?}", replay(factory, config, prefix).abstract_execution());
+        },
+    );
+    let shape = config.store_config;
+    (
+        name,
+        shape.n_replicas,
+        shape.n_objects,
+        config.depth,
+        config.dedup,
+        nodes,
+        hash,
+    )
+}
+
+/// Searches `config`'s tree with the correct-and-causal predicate and
+/// reports the first counterexample with the violation it replays to.
+fn pin_search(
+    name: &'static str,
+    factory: &dyn StoreFactory,
+    spec: SpecKind,
+    config: &ExhaustiveConfig,
+) -> PinnedSearch<String> {
+    let report = explore_all(factory, config, &mut check_against(spec));
+    let found = report.counterexample.map(|prefix| {
+        let a = replay(factory, config, &prefix)
+            .abstract_execution()
+            .expect("every roster store reports resolvable witnesses");
+        let violation = match check_correct(&a, &ObjectSpecs::uniform(spec)) {
+            Err(e) => format!("{e:?}"),
+            Ok(()) => format!("{:?}", causal::check(&a).expect_err("the predicate failed")),
+        };
+        let prefix = fnv1a(FNV_OFFSET, format!("{prefix:?}").as_bytes());
+        (prefix, violation)
+    });
+    let shape = config.store_config;
+    (
+        name,
+        shape.n_replicas,
+        shape.n_objects,
+        config.depth,
+        config.dedup,
+        found,
+    )
+}
+
+/// The candidate abstract execution is a function of the transcript alone,
+/// so however `Simulator::abstract_execution` computes it, its value at
+/// every prefix the explorer visits is fixed. Pinned per store and engine
+/// (dedup off, and dedup + por) for the seven conformance stores and the
+/// four counterexample stores at depth 4, dvv-mvr also at depth 5 on 3
+/// replicas × 2 objects; beside each walk, the store's first
+/// counterexample and its violation, and for the two stores whose first
+/// one lies deeper (arbitration at 6, bounded at 7) a reduced search that
+/// reaches it.
+#[test]
+fn every_visited_prefix_has_its_pinned_abstract_execution() {
+    let register = vec![Op::Write(v(0)), Op::Read];
+    let set = vec![Op::Add(v(0)), Op::Remove(v(0)), Op::Read];
+    let flag = vec![Op::Enable, Op::Disable, Op::Read];
+    let counter = vec![Op::Inc, Op::Read];
+    let k_delayed = KDelayedStore::new(2);
+    #[rustfmt::skip]
+    let roster: [RosterRow<'_>; 11] = [
+        ("dvv-mvr", &DvvMvrStore, SpecKind::Mvr, &register, StoreConfig::new(2, 1)),
+        ("cops-mvr", &CopsStore, SpecKind::Mvr, &register, StoreConfig::new(2, 1)),
+        ("causal-register", &CausalRegisterStore, SpecKind::Mvr, &register, StoreConfig::new(2, 1)),
+        ("lww", &LwwStore, SpecKind::LwwRegister, &register, StoreConfig::new(2, 1)),
+        ("orset", &OrSetStore, SpecKind::OrSet, &set, StoreConfig::new(2, 1)),
+        ("counter", &CounterStore, SpecKind::Counter, &counter, StoreConfig::new(2, 1)),
+        ("ew-flag", &EwFlagStore, SpecKind::EwFlag, &flag, StoreConfig::new(2, 1)),
+        ("k-delayed", &k_delayed, SpecKind::Mvr, &register, StoreConfig::new(2, 1)),
+        ("arbitration-mvr", &ArbitrationStore, SpecKind::Mvr, &register, StoreConfig::new(3, 2)),
+        ("bounded", &BoundedStore, SpecKind::Mvr, &register, StoreConfig::new(3, 2)),
+        ("sequenced", &SequencedStore, SpecKind::Mvr, &register, StoreConfig::new(3, 1)),
+    ];
+    let reduced = |config: &ExhaustiveConfig| ExhaustiveConfig {
+        dedup: true,
+        por: true,
+        ..config.clone()
+    };
+    let mut walks = Vec::new();
+    let mut searches = Vec::new();
+    for (name, factory, spec, ops, store_config) in roster {
+        let config = ExhaustiveConfig {
+            store_config,
+            ops: ops.clone(),
+            ..register_config(4)
+        };
+        walks.push(pin_walk(name, factory, &config));
+        walks.push(pin_walk(name, factory, &reduced(&config)));
+        searches.push(pin_search(name, factory, spec, &config));
+    }
+    let deeper = ExhaustiveConfig {
+        store_config: StoreConfig::new(3, 2),
+        ..register_config(5)
+    };
+    walks.push(pin_walk("dvv-mvr", &DvvMvrStore, &deeper));
+    walks.push(pin_walk("dvv-mvr", &DvvMvrStore, &reduced(&deeper)));
+    for (name, factory, depth) in [
+        ("arbitration-mvr", &ArbitrationStore as &dyn StoreFactory, 6),
+        ("bounded", &BoundedStore, 7),
+    ] {
+        let config = reduced(&ExhaustiveConfig {
+            store_config: StoreConfig::new(3, 1),
+            ..register_config(depth)
+        });
+        searches.push(pin_search(name, factory, SpecKind::Mvr, &config));
+    }
+    let pinned_searches: Vec<PinnedSearch<String>> = PINNED_SEARCHES
+        .iter()
+        .map(|&(name, n, o, depth, red, found)| {
+            (
+                name,
+                n,
+                o,
+                depth,
+                red,
+                found.map(|(h, s)| (h, s.to_owned())),
+            )
+        })
+        .collect();
+    assert_eq!(walks, PINNED_WALKS);
+    assert_eq!(searches, pinned_searches);
 }
 
 /// Applies an action the same way the explorers do (without uniquification,
