@@ -27,6 +27,13 @@ echo "== block-skip properties at 2048 cases (witness consumers that jump over t
 HAEC_PROP_CASES=2048 cargo test -q --release --locked --offline \
     -p haec-model -p haec-core -p haec-sim --lib block_skip
 
+echo "== witness-log oracle properties at 2048 cases (the abstract execution kept per step — WitnessLog fed hostile witnesses and truncated at random in haec-core, Simulator::abstract_execution under do/flush/deliver/drop/duplicate with undo_step and snapshot/restore in haec-sim — equals abstract_from_witness_ordered on the identity order, Ok or Err, after every step; release build; default seed, so a failure replays) =="
+# At 64 cases few walks poison the log and then truncate back across the
+# poisoned position, or cross 64 and 128 events with a read-prefix edge
+# in the new word; at 2048 each happens hundreds of times.
+HAEC_PROP_CASES=2048 cargo test -q --release --locked --offline \
+    -p haec-core -p haec-sim --lib witness_log_agrees_with_the_batch_builder
+
 echo "== entrant-only scan property at 2048 cases (StreamChecker's causal and session scans, which test only the events that enter P(t) at t, keep the same running first violations after every push as full scans over pvec and pending, and in exact mode as the batch checkers; release build; default seed, so a failure replays) =="
 # Random dot subsets, advancing prefixes with holes and single recent dots
 # over 1..5 replicas, gc_window off, tiny and mid; the property asserts

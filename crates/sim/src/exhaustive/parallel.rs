@@ -177,7 +177,7 @@ impl SharedTable {
 
     /// Looks up a memoised subtree count. Workers call this concurrently;
     /// SeqCst loads because the outcome decides reported dedup counters
-    /// and schedule credits (see `relaxed-ordering-decision` in haec-lint).
+    /// and schedule credits (see `relaxed-atomic` in haec-lint).
     /// Publication is level-barriered, so everything visible here was
     /// written before this worker's level began.
     pub(crate) fn get(&self, fp: u64, remaining: usize) -> Option<u64> {
@@ -386,8 +386,8 @@ pub fn explore_all_parallel_observed<O: ForkJoinObserver + Send>(
         // SeqCst throughout: these atomics decide which units are skipped
         // and which counterexample cancels the sweep. The canonical-order
         // merge makes the *results* thread-invariant either way, but the
-        // determinism gate (relaxed-ordering-decision) insists decision
-        // inputs are totally ordered rather than argued about.
+        // determinism gate (relaxed-atomic) insists decision inputs are
+        // totally ordered rather than argued about.
         results.extend(par_map(threads, level, |i, cell| {
             let i = start + i;
             if earliest_cex.load(Ordering::SeqCst) < i {

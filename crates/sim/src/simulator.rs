@@ -8,9 +8,7 @@
 //! scheduler's choices.
 
 use crate::obs::{DoEvent, FaultEvent, Observer, Observers, ReceiveEvent, SendEvent};
-use haec_core::witness::{
-    abstract_from_witness, abstract_from_witness_ordered, DoWitness, WitnessError,
-};
+use haec_core::witness::{abstract_from_witness_ordered, DoWitness, WitnessError, WitnessLog};
 use haec_core::AbstractExecution;
 use haec_model::{
     Dot, Execution, MsgId, ObjectId, Op, ReplicaId, ReplicaMachine, ReturnValue, StoreConfig,
@@ -66,8 +64,9 @@ pub enum FaultKind {
 }
 
 /// A saved copy of the complete dynamic state of a [`Simulator`]:
-/// replica machines, execution transcript, witnesses, in-flight copies,
-/// dot counters, and the fault record. Static parts (store configuration,
+/// replica machines, execution transcript, witnesses and the abstract
+/// execution kept from them, in-flight copies, dot counters, and the fault
+/// record. Static parts (store configuration,
 /// name) and attached observers are *not* captured — restoring rewinds the
 /// run, not the instrumentation.
 ///
@@ -77,6 +76,7 @@ pub struct SimSnapshot {
     machines: Vec<Box<dyn ReplicaMachine>>,
     execution: Execution,
     witnesses: Vec<DoWitness>,
+    log: WitnessLog,
     timestamps: Vec<Option<u64>>,
     inflight: Vec<InFlight>,
     update_seq: Vec<u32>,
@@ -98,8 +98,9 @@ impl std::fmt::Debug for SimSnapshot {
 /// [`Simulator::undo_step`]. Strictly cheaper than a [`SimSnapshot`]: only
 /// the affected machine is cloned up front, undoing moves it back into
 /// place without cloning at all, and the append-only transcript — events,
-/// messages, witnesses, timestamps, faults — is recorded by length alone
-/// and rewound by truncation. The in-flight list is copied only when the
+/// messages, witnesses with the [`WitnessLog`] column each one added,
+/// timestamps, faults — is recorded by length alone and rewound by
+/// truncation. The in-flight list is copied only when the
 /// caller declares the transition may mutate it. The contract is narrower
 /// than a snapshot's: an undo applies only to the state reached by
 /// *advancing* the same simulator by that one transition.
@@ -131,6 +132,9 @@ pub struct Simulator {
     machines: Vec<Box<dyn ReplicaMachine>>,
     execution: Execution,
     witnesses: Vec<DoWitness>,
+    /// The candidate abstract execution of the transcript so far: one
+    /// column per witness, pushed by `do_op` and dropped by `undo_step`.
+    log: WitnessLog,
     /// Arbitration timestamps reported by the store, per do event.
     timestamps: Vec<Option<u64>>,
     inflight: Vec<InFlight>,
@@ -166,6 +170,7 @@ impl Simulator {
             machines,
             execution: Execution::new(config.n_replicas),
             witnesses: Vec::new(),
+            log: WitnessLog::new(config.n_replicas),
             timestamps: Vec::new(),
             inflight: Vec::new(),
             update_seq: vec![0; config.n_replicas],
@@ -201,14 +206,15 @@ impl Simulator {
 
     /// Captures the complete dynamic state of the cluster: every replica
     /// machine (via [`ReplicaMachine::boxed_clone`]), the execution
-    /// transcript, the visibility witnesses and arbitration timestamps, the
-    /// in-flight message copies, the per-replica dot counters, and the
+    /// transcript, the visibility witnesses with their [`WitnessLog`] and
+    /// the arbitration timestamps, the in-flight message copies, the per-replica dot counters, and the
     /// fault record. Observers are not captured.
     pub fn snapshot(&self) -> SimSnapshot {
         SimSnapshot {
             machines: self.machines.iter().map(|m| m.boxed_clone()).collect(),
             execution: self.execution.clone(),
             witnesses: self.witnesses.clone(),
+            log: self.log.clone(),
             timestamps: self.timestamps.clone(),
             inflight: self.inflight.clone(),
             update_seq: self.update_seq.clone(),
@@ -229,6 +235,7 @@ impl Simulator {
         self.machines = snap.machines.iter().map(|m| m.boxed_clone()).collect();
         self.execution = snap.execution.clone();
         self.witnesses = snap.witnesses.clone();
+        self.log = snap.log.clone();
         self.timestamps = snap.timestamps.clone();
         self.inflight = snap.inflight.clone();
         self.update_seq = snap.update_seq.clone();
@@ -279,6 +286,7 @@ impl Simulator {
         }
         self.execution.truncate(undo.events_len, undo.messages_len);
         self.witnesses.truncate(undo.witnesses_len);
+        self.log.truncate(undo.witnesses_len);
         self.timestamps.truncate(undo.witnesses_len);
         self.faults.truncate(undo.faults_len);
         self.peak_state_bits = undo.peak_state_bits;
@@ -331,10 +339,12 @@ impl Simulator {
         let ix = self
             .execution
             .push_do(replica, obj, op, outcome.rval.clone());
-        self.witnesses.push(DoWitness {
+        let witness = DoWitness {
             event: ix,
             visible: outcome.visible,
-        });
+        };
+        self.log.push(&self.execution, &witness);
+        self.witnesses.push(witness);
         self.timestamps.push(outcome.timestamp);
         if !self.obs.is_empty() {
             let (eobj, op, rval) = self.execution.event(ix).as_do().expect("do event");
@@ -566,14 +576,18 @@ impl Simulator {
         self.machines[replica.index()].as_ref()
     }
 
-    /// Builds the candidate abstract execution from the store's witnesses,
-    /// with `H` in execution order.
+    /// The candidate abstract execution of the store's witnesses, with `H`
+    /// in execution order: the value of
+    /// [`abstract_from_witness`](haec_core::witness::abstract_from_witness)
+    /// on the transcript so far, answered from the [`WitnessLog`] that
+    /// grew and rewound with it — so a call pays for emitting and
+    /// validating the relation, not for deriving it.
     ///
     /// # Errors
     ///
     /// Propagates witness resolution failures.
     pub fn abstract_execution(&self) -> Result<AbstractExecution, WitnessError> {
-        abstract_from_witness(&self.execution, &self.witnesses)
+        self.log.build(&self.execution, &self.witnesses)
     }
 
     /// Builds the candidate abstract execution with `H` ordered by the
@@ -809,6 +823,90 @@ mod tests {
         sim.flush(r(2)).unwrap();
         sim.deliver_all();
         assert_eq!(sim.read(r(0), x(0)), ReturnValue::values([v(1), v(3)]));
+    }
+
+    /// `Simulator::abstract_execution` against its oracle, the batch
+    /// builder on the identity order, along random walks over every store:
+    /// client operations, flushes, deliveries, drops and duplicates, each
+    /// one undoable, with undos to random depths and snapshot / restore in
+    /// between. Equal after every step, every undo and every restore.
+    #[test]
+    fn witness_log_agrees_with_the_batch_builder() {
+        use haec_testkit::prop::{self, u64s, usizes};
+        use haec_testkit::{prop_assert_eq, Rng};
+
+        let factories = haec_stores::all_factories();
+        // (walk seed, store)
+        let gen = (u64s(0..u64::MAX), usizes(0..factories.len()));
+        prop::check(
+            "witness_log_agrees_with_the_batch_builder",
+            &gen,
+            |&(seed, store)| {
+                let factory = factories[store].as_ref();
+                let mut rng = Rng::seed_from_u64(seed);
+                let config = StoreConfig::new(rng.gen_range(2..6), rng.gen_range(1..4));
+                let mut sim = Simulator::new(factory, config);
+                let mut undos: Vec<StepUndo> = Vec::new();
+                let mut snap = sim.snapshot();
+                for step in 0..rng.gen_range(1..60u64) {
+                    let replica = r(rng.gen_range(0..config.n_replicas as u32));
+                    let copy = rng.gen_range(0..sim.inflight().len().max(1));
+                    let to = sim.inflight().get(copy).map(|f| f.to);
+                    match (rng.gen_range(0..12), to) {
+                        (0, _) => {
+                            for _ in 0..rng.gen_range(0..undos.len() + 1) {
+                                sim.undo_step(undos.pop().unwrap());
+                            }
+                        }
+                        (1, _) => snap = sim.snapshot(),
+                        (2, _) => {
+                            // Undo records describe the walk that led here,
+                            // not the one that led to the snapshot.
+                            sim.restore(&snap);
+                            undos.clear();
+                        }
+                        (3, _) => {
+                            undos.push(sim.begin_step(replica, true));
+                            sim.flush(replica);
+                        }
+                        (4 | 5, Some(to)) => {
+                            undos.push(sim.begin_step(to, true));
+                            sim.deliver(copy);
+                        }
+                        (6, Some(to)) => {
+                            undos.push(sim.begin_step(to, true));
+                            sim.drop_inflight(copy);
+                        }
+                        (7, Some(to)) => {
+                            undos.push(sim.begin_step(to, true));
+                            sim.duplicate_inflight(copy);
+                        }
+                        (pick, _) => {
+                            let op = match factory.name() {
+                                _ if pick % 2 == 0 => Op::Read,
+                                "orset" if step % 3 == 0 => Op::Remove(v(step % 4)),
+                                "orset" => Op::Add(v(step % 4)),
+                                "counter" => Op::Inc,
+                                "ew-flag" if step % 2 == 0 => Op::Enable,
+                                "ew-flag" => Op::Disable,
+                                _ => Op::Write(v(step)),
+                            };
+                            let obj = x(rng.gen_range(0..config.n_objects as u32));
+                            undos.push(sim.begin_step(replica, false));
+                            sim.do_op(replica, obj, op);
+                        }
+                    }
+                    let ex = sim.execution();
+                    prop_assert_eq!(
+                        sim.abstract_execution(),
+                        abstract_from_witness_ordered(ex, sim.witnesses(), &ex.do_events()),
+                        "{} after step {step}",
+                        factory.name()
+                    );
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! prefix from a fresh cluster, so it cannot be contaminated by
 //! snapshot/restore or memoisation bugs.
 
-use haec_core::{causal, check_correct, ObjectSpecs, SpecKind};
+use haec_core::witness::WitnessError;
+use haec_core::{causal, check_correct, AbstractExecution, ObjectSpecs, SpecKind};
 use haec_model::{ObjectId, Op, ReplicaId, StoreConfig, StoreFactory, Value};
 use haec_sim::exhaustive::{
     explore_all, explore_all_parallel, explore_all_replay, explore_all_traced, replay, Action,
@@ -312,13 +313,26 @@ fn engines_agree_on_a_failing_predicate() {
 }
 
 /// Fingerprint of everything `snapshot()` captures that a later transition
-/// could disturb.
-fn observable_state(sim: &Simulator) -> (Vec<u64>, usize, usize) {
+/// could disturb — the abstract execution included, which is answered from
+/// a log the snapshot has to carry.
+fn observable_state(
+    sim: &Simulator,
+) -> (
+    Vec<u64>,
+    usize,
+    usize,
+    Result<AbstractExecution, WitnessError>,
+) {
     let n = sim.config().n_replicas;
     let fps: Vec<u64> = (0..n)
         .map(|i| sim.machine(r(i as u32)).state_fingerprint())
         .collect();
-    (fps, sim.execution().events().len(), sim.inflight().len())
+    (
+        fps,
+        sim.execution().events().len(),
+        sim.inflight().len(),
+        sim.abstract_execution(),
+    )
 }
 
 #[test]

@@ -7,7 +7,7 @@
 
 use haec::core::consistency::{causal, sessions};
 use haec::core::stream::{StreamChecker, StreamConfig};
-use haec::core::witness::{abstract_from_witness, DoWitness};
+use haec::core::witness::{abstract_from_witness, abstract_from_witness_ordered, DoWitness};
 use haec::prelude::*;
 use haec::sim::exhaustive::{
     explore_all, explore_all_parallel, explore_all_replay, ExhaustiveConfig,
@@ -39,6 +39,49 @@ fn explorer_engines_agree_at_depth_3_on_two_stores() {
         };
         let reference = explore_all_replay(factory, &config, &mut { check });
         assert_eq!(reference.schedules, 111, "{}", factory.name());
+        for (engine, report) in [
+            ("dfs", explore_all(factory, &config, &mut { check })),
+            ("dedup", explore_all(factory, &deduped, &mut { check })),
+            ("par-2", explore_all_parallel(factory, &deduped, 2, &check)),
+        ] {
+            let label = format!("{} {engine}", factory.name());
+            assert_eq!(report.schedules, reference.schedules, "{label}");
+            assert_eq!(report.counterexample, reference.counterexample, "{label}");
+        }
+    }
+}
+
+#[test]
+fn abstract_execution_rides_the_transcript_in_every_engine_at_depth_3() {
+    // `Simulator::abstract_execution` answers from a log that grows with
+    // `do_op`, rewinds with `undo_step` and travels in snapshots; the batch
+    // builder on the identity order is its oracle. Checked inside the
+    // predicate, so at every prefix each engine visits: a `from_snapshot`
+    // that dropped the log would answer from an empty one in every
+    // parallel unit and part ways with replay on the first counterexample.
+    let stores: [&dyn StoreFactory; 2] = [&DvvMvrStore, &BoundedStore];
+    for factory in stores {
+        let check = |sim: &Simulator| {
+            let ex = sim.execution();
+            let a = sim.abstract_execution();
+            a == abstract_from_witness_ordered(ex, sim.witnesses(), &ex.do_events())
+                && a.is_ok_and(|a| {
+                    check_correct(&a, &ObjectSpecs::uniform(SpecKind::Mvr)).is_ok()
+                        && causal::check(&a).is_ok()
+                })
+        };
+        let config = ExhaustiveConfig {
+            depth: 3,
+            max_schedules: usize::MAX,
+            ..ExhaustiveConfig::default()
+        };
+        let deduped = ExhaustiveConfig {
+            dedup: true,
+            ..config.clone()
+        };
+        let reference = explore_all_replay(factory, &config, &mut { check });
+        assert_eq!(reference.schedules, 111, "{}", factory.name());
+        assert_eq!(reference.counterexample, None, "{}", factory.name());
         for (engine, report) in [
             ("dfs", explore_all(factory, &config, &mut { check })),
             ("dedup", explore_all(factory, &deduped, &mut { check })),
