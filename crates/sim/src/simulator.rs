@@ -66,9 +66,9 @@ pub enum FaultKind {
 /// A saved copy of the complete dynamic state of a [`Simulator`]:
 /// replica machines, execution transcript, witnesses and the abstract
 /// execution kept from them, in-flight copies, dot counters, and the fault
-/// record. Static parts (store configuration,
-/// name) and attached observers are *not* captured — restoring rewinds the
-/// run, not the instrumentation.
+/// record. Static parts (store configuration, name) and attached observers
+/// are *not* captured — restoring rewinds the run, not the
+/// instrumentation.
 ///
 /// Created by [`Simulator::snapshot`]; applied by [`Simulator::restore`].
 /// A snapshot can be restored any number of times.
@@ -100,10 +100,10 @@ impl std::fmt::Debug for SimSnapshot {
 /// place without cloning at all, and the append-only transcript — events,
 /// messages, witnesses with the [`WitnessLog`] column each one added,
 /// timestamps, faults — is recorded by length alone and rewound by
-/// truncation. The in-flight list is copied only when the
-/// caller declares the transition may mutate it. The contract is narrower
-/// than a snapshot's: an undo applies only to the state reached by
-/// *advancing* the same simulator by that one transition.
+/// truncation. The in-flight list is copied only when the caller declares
+/// the transition may mutate it. The contract is narrower than a
+/// snapshot's: an undo applies only to the state reached by *advancing*
+/// the same simulator by that one transition.
 pub struct StepUndo {
     replica: ReplicaId,
     machine: Box<dyn ReplicaMachine>,
@@ -207,8 +207,9 @@ impl Simulator {
     /// Captures the complete dynamic state of the cluster: every replica
     /// machine (via [`ReplicaMachine::boxed_clone`]), the execution
     /// transcript, the visibility witnesses with their [`WitnessLog`] and
-    /// the arbitration timestamps, the in-flight message copies, the per-replica dot counters, and the
-    /// fault record. Observers are not captured.
+    /// the arbitration timestamps, the in-flight message copies, the
+    /// per-replica dot counters, and the fault record. Observers are not
+    /// captured.
     pub fn snapshot(&self) -> SimSnapshot {
         SimSnapshot {
             machines: self.machines.iter().map(|m| m.boxed_clone()).collect(),

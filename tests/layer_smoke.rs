@@ -10,11 +10,41 @@ use haec::core::stream::{StreamChecker, StreamConfig};
 use haec::core::witness::{abstract_from_witness, abstract_from_witness_ordered, DoWitness};
 use haec::prelude::*;
 use haec::sim::exhaustive::{
-    explore_all, explore_all_parallel, explore_all_replay, ExhaustiveConfig,
+    explore_all, explore_all_parallel, explore_all_replay, Action, ExhaustiveConfig,
 };
 use haec::sim::obs::{self, stream::StreamObserver};
 use haec::sim::service::{run_service, ServiceRunConfig};
 use haec::sim::{explore_with, Simulator};
+
+/// Replay, dfs, dedup and par-2 on the default cluster at depth 3: the
+/// same 111 schedules and the same first counterexample under `check`,
+/// which is returned.
+fn assert_engines_agree_at_depth_3(
+    factory: &dyn StoreFactory,
+    check: impl Fn(&Simulator) -> bool + Sync + Copy,
+) -> Option<Vec<Action>> {
+    let config = ExhaustiveConfig {
+        depth: 3,
+        max_schedules: usize::MAX,
+        ..ExhaustiveConfig::default()
+    };
+    let deduped = ExhaustiveConfig {
+        dedup: true,
+        ..config.clone()
+    };
+    let reference = explore_all_replay(factory, &config, &mut { check });
+    assert_eq!(reference.schedules, 111, "{}", factory.name());
+    for (engine, report) in [
+        ("dfs", explore_all(factory, &config, &mut { check })),
+        ("dedup", explore_all(factory, &deduped, &mut { check })),
+        ("par-2", explore_all_parallel(factory, &deduped, 2, &check)),
+    ] {
+        let label = format!("{} {engine}", factory.name());
+        assert_eq!(report.schedules, reference.schedules, "{label}");
+        assert_eq!(report.counterexample, reference.counterexample, "{label}");
+    }
+    reference.counterexample
+}
 
 #[test]
 fn explorer_engines_agree_at_depth_3_on_two_stores() {
@@ -23,31 +53,11 @@ fn explorer_engines_agree_at_depth_3_on_two_stores() {
         (&LwwStore, SpecKind::LwwRegister),
     ];
     for (factory, spec) in stores {
-        let check = move |sim: &Simulator| {
+        assert_engines_agree_at_depth_3(factory, move |sim: &Simulator| {
             sim.abstract_execution().is_ok_and(|a| {
                 check_correct(&a, &ObjectSpecs::uniform(spec)).is_ok() && causal::check(&a).is_ok()
             })
-        };
-        let config = ExhaustiveConfig {
-            depth: 3,
-            max_schedules: usize::MAX,
-            ..ExhaustiveConfig::default()
-        };
-        let deduped = ExhaustiveConfig {
-            dedup: true,
-            ..config.clone()
-        };
-        let reference = explore_all_replay(factory, &config, &mut { check });
-        assert_eq!(reference.schedules, 111, "{}", factory.name());
-        for (engine, report) in [
-            ("dfs", explore_all(factory, &config, &mut { check })),
-            ("dedup", explore_all(factory, &deduped, &mut { check })),
-            ("par-2", explore_all_parallel(factory, &deduped, 2, &check)),
-        ] {
-            let label = format!("{} {engine}", factory.name());
-            assert_eq!(report.schedules, reference.schedules, "{label}");
-            assert_eq!(report.counterexample, reference.counterexample, "{label}");
-        }
+        });
     }
 }
 
@@ -61,7 +71,7 @@ fn abstract_execution_rides_the_transcript_in_every_engine_at_depth_3() {
     // parallel unit and part ways with replay on the first counterexample.
     let stores: [&dyn StoreFactory; 2] = [&DvvMvrStore, &BoundedStore];
     for factory in stores {
-        let check = |sim: &Simulator| {
+        let counterexample = assert_engines_agree_at_depth_3(factory, |sim: &Simulator| {
             let ex = sim.execution();
             let a = sim.abstract_execution();
             a == abstract_from_witness_ordered(ex, sim.witnesses(), &ex.do_events())
@@ -69,28 +79,8 @@ fn abstract_execution_rides_the_transcript_in_every_engine_at_depth_3() {
                     check_correct(&a, &ObjectSpecs::uniform(SpecKind::Mvr)).is_ok()
                         && causal::check(&a).is_ok()
                 })
-        };
-        let config = ExhaustiveConfig {
-            depth: 3,
-            max_schedules: usize::MAX,
-            ..ExhaustiveConfig::default()
-        };
-        let deduped = ExhaustiveConfig {
-            dedup: true,
-            ..config.clone()
-        };
-        let reference = explore_all_replay(factory, &config, &mut { check });
-        assert_eq!(reference.schedules, 111, "{}", factory.name());
-        assert_eq!(reference.counterexample, None, "{}", factory.name());
-        for (engine, report) in [
-            ("dfs", explore_all(factory, &config, &mut { check })),
-            ("dedup", explore_all(factory, &deduped, &mut { check })),
-            ("par-2", explore_all_parallel(factory, &deduped, 2, &check)),
-        ] {
-            let label = format!("{} {engine}", factory.name());
-            assert_eq!(report.schedules, reference.schedules, "{label}");
-            assert_eq!(report.counterexample, reference.counterexample, "{label}");
-        }
+        });
+        assert_eq!(counterexample, None, "{}", factory.name());
     }
 }
 
