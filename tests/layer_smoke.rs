@@ -85,6 +85,37 @@ fn abstract_execution_rides_the_transcript_in_every_engine_at_depth_3() {
 }
 
 #[test]
+fn dedup_and_symmetry_tables_keep_their_pinned_counters_at_depth_4() {
+    // The sequential triples of `explore_differential`'s
+    // `parallel_dedup_counters_known_answers` (dvv-mvr, 3 replicas × 2
+    // objects, register ops, always-true predicate): the dedup table's
+    // hits and misses, and under `symmetry` the canonical fingerprints the
+    // payload-renaming cache feeds it, as exact counts.
+    let dedup = ExhaustiveConfig {
+        store_config: StoreConfig::new(3, 2),
+        ops: vec![Op::Write(Value::new(0)), Op::Read],
+        depth: 4,
+        max_schedules: usize::MAX,
+        dedup: true,
+        por: false,
+        symmetry: false,
+    };
+    let reduced = ExhaustiveConfig {
+        por: true,
+        symmetry: true,
+        ..dedup.clone()
+    };
+    for (config, pinned) in [(reduced, (6185, 902, 1474)), (dedup, (28123, 2774, 4594))] {
+        let report = explore_all(&DvvMvrStore, &config, &mut |_| true);
+        assert_eq!(
+            (report.schedules, report.dedup_hits, report.dedup_misses),
+            pinned,
+            "{config:?}"
+        );
+    }
+}
+
+#[test]
 fn service_batched_and_unbatched_agree_on_a_clean_network() {
     // One cell of `service_matrix`: constant delay (`delay_max: 1` always
     // draws 0), no faults, so the two wire modes are tick-for-tick
