@@ -8,8 +8,8 @@
 
 use crate::abstract_execution::AbstractExecution;
 use crate::bits;
-use crate::det::DetMap;
 use haec_model::{ObjectId, Op, Relation};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A read returning a concurrent pair for which no OCC witnesses exist.
@@ -53,7 +53,7 @@ struct VisIndex {
     words: usize,
     preds: Relation,
     writes: Vec<u64>,
-    by_obj: DetMap<ObjectId, Vec<u64>>,
+    by_obj: BTreeMap<ObjectId, Vec<u64>>,
 }
 
 impl VisIndex {
@@ -62,13 +62,13 @@ impl VisIndex {
         let words = bits::words_for(n);
         let preds = a.vis().transpose();
         let mut writes = vec![0u64; words];
-        let mut by_obj: DetMap<ObjectId, Vec<u64>> = DetMap::new();
+        let mut by_obj: BTreeMap<ObjectId, Vec<u64>> = BTreeMap::new();
         for i in 0..n {
             let e = a.event(i);
             if matches!(e.op, Op::Write(_)) {
                 bits::set(&mut writes, i);
             }
-            bits::set(by_obj.get_or_insert_with(e.obj, || vec![0u64; words]), i);
+            bits::set(by_obj.entry(e.obj).or_insert_with(|| vec![0u64; words]), i);
         }
         VisIndex {
             words,

@@ -70,9 +70,9 @@
 use crate::consistency::causal::CausalityViolation;
 use crate::consistency::eventual::EventualViolation;
 use crate::consistency::sessions::SessionViolation;
-use crate::det::{DetMap, DetSet};
 use crate::spans;
 use haec_model::{Dot, ObjectId, ReplicaId};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Coverage bitmask width: replicas are tracked in a `u64`.
@@ -205,7 +205,7 @@ struct LiveEvent {
 /// stable (or optimistically visible, in forced mode), stable events are in
 /// every later `P`, and unstable live events are in `P(t)` iff they are in
 /// the explicit unstable predecessor vector.
-fn in_p(live: &DetMap<usize, LiveEvent>, pvec: &[usize], e: usize) -> bool {
+fn in_p(live: &BTreeMap<usize, LiveEvent>, pvec: &[usize], e: usize) -> bool {
     match live.get(&e) {
         None => true,
         Some(le) => le.stable || pvec.binary_search(&e).is_ok(),
@@ -232,22 +232,22 @@ pub struct StreamChecker {
     /// Updates issued per replica (dot sequence counters).
     issued: Vec<u32>,
     /// Resident events.
-    live: DetMap<usize, LiveEvent>,
+    live: BTreeMap<usize, LiveEvent>,
     /// Stable but unretired events.
-    pending: DetSet<usize>,
+    pending: BTreeSet<usize>,
     /// Unstable members of each replica's cumulative visibility set `R_r`.
-    r_explicit: Vec<DetSet<usize>>,
+    r_explicit: Vec<BTreeSet<usize>>,
     /// Per replica: dot seq → event index, for unstable updates only.
-    dots: Vec<DetMap<u32, usize>>,
+    dots: Vec<BTreeMap<u32, usize>>,
     /// Per replica: unstable update indices (monotonic-writes `u1` pool).
-    un_updates: Vec<DetSet<usize>>,
+    un_updates: Vec<BTreeSet<usize>>,
     /// Per replica: unstable read index → its `puc` (read-prefix pool).
-    un_reads: Vec<DetMap<usize, u32>>,
+    un_reads: Vec<BTreeMap<usize, u32>>,
     /// Per replica: read → its unstable-at-arrival update predecessors
     /// (writes-follow-reads `seen` pool; kept until the read retires).
-    wfr_reads: Vec<DetMap<usize, Vec<usize>>>,
+    wfr_reads: Vec<BTreeMap<usize, Vec<usize>>>,
     /// Per object: unstable live events (eventual-window candidates).
-    ev_unstable: DetMap<ObjectId, DetSet<usize>>,
+    ev_unstable: BTreeMap<ObjectId, BTreeSet<usize>>,
     best_causal: Option<(usize, usize, usize)>,
     best_eventual: Option<(usize, usize)>,
     best_mw: Option<(usize, usize, usize)>,
@@ -291,14 +291,14 @@ impl StreamChecker {
             full_mask,
             next: 0,
             issued: vec![0; n],
-            live: DetMap::new(),
-            pending: DetSet::new(),
-            r_explicit: vec![DetSet::new(); n],
-            dots: vec![DetMap::new(); n],
-            un_updates: vec![DetSet::new(); n],
-            un_reads: vec![DetMap::new(); n],
-            wfr_reads: vec![DetMap::new(); n],
-            ev_unstable: DetMap::new(),
+            live: BTreeMap::new(),
+            pending: BTreeSet::new(),
+            r_explicit: vec![BTreeSet::new(); n],
+            dots: vec![BTreeMap::new(); n],
+            un_updates: vec![BTreeSet::new(); n],
+            un_reads: vec![BTreeMap::new(); n],
+            wfr_reads: vec![BTreeMap::new(); n],
+            ev_unstable: BTreeMap::new(),
             best_causal: None,
             best_eventual: None,
             best_mw: None,
@@ -443,9 +443,7 @@ impl StreamChecker {
                 self.wfr_reads[rho].insert(t, seen);
             }
         }
-        self.ev_unstable
-            .get_or_insert_with(obj, DetSet::new)
-            .insert(t);
+        self.ev_unstable.entry(obj).or_default().insert(t);
         self.pred_slots += pvec.len();
         self.live.insert(
             t,
@@ -516,7 +514,7 @@ impl StreamChecker {
         own_seq: u32,
         replica: ReplicaId,
         visible: &[Dot],
-    ) -> Result<DetSet<usize>, StreamError> {
+    ) -> Result<BTreeSet<usize>, StreamError> {
         let n = self.config.n_replicas;
         // `floor[dr]`, worked out at the first dot of `dr` that is not an
         // unstable update (bit `dr` of `floored`): a delta feed, which
@@ -525,7 +523,7 @@ impl StreamChecker {
         let mut floored = 0u64;
         // Largest seq named above the floor, per origin (0: none).
         let mut top = [0u32; MAX_REPLICAS];
-        let mut extra = DetSet::new();
+        let mut extra = BTreeSet::new();
         let mut i = 0;
         while i < visible.len() {
             let d = visible[i];
@@ -590,8 +588,8 @@ impl StreamChecker {
         own_seq: u32,
         replica: ReplicaId,
         visible: &[Dot],
-    ) -> Result<DetSet<usize>, StreamError> {
-        let mut extra = DetSet::new();
+    ) -> Result<BTreeSet<usize>, StreamError> {
+        let mut extra = BTreeSet::new();
         for &d in visible {
             let dr = d.replica.index();
             if dr >= self.config.n_replicas {
@@ -638,7 +636,7 @@ impl StreamChecker {
     /// `e1' ≤ e1`, which precedes `(e1, e2, t)` and already holds the
     /// running minimum. Forced retirement only turns `in_p` true, which
     /// keeps every step.
-    fn scan_causal(&mut self, t: usize, extra: &DetSet<usize>, pvec: &[usize]) {
+    fn scan_causal(&mut self, t: usize, extra: &BTreeSet<usize>, pvec: &[usize]) {
         let found = spans::timed("stream.causal", || {
             let mut best: Option<(usize, usize)> = None;
             for &e2 in extra.iter() {
@@ -694,7 +692,7 @@ impl StreamChecker {
     /// precede their counterparts at `t`. An own-replica `u2` is never a
     /// witness at ρ: the updates before it, and what the reads before it
     /// saw, are in `R_ρ`.
-    fn scan_sessions(&mut self, t: usize, extra: &DetSet<usize>, pvec: &[usize]) {
+    fn scan_sessions(&mut self, t: usize, extra: &BTreeSet<usize>, pvec: &[usize]) {
         let (mw, wfr) = spans::timed("stream.sessions", || {
             let mut best_mw: Option<(usize, usize)> = None;
             let mut best_wfr: Option<(usize, usize, usize)> = None;

@@ -43,7 +43,6 @@ mod compliance;
 pub mod consistency;
 mod context;
 mod correctness;
-pub mod det;
 pub mod search;
 pub mod spans;
 mod specs;
@@ -59,5 +58,4 @@ pub use consistency::{
 };
 pub use context::OperationContext;
 pub use correctness::{check_correct, in_specification, CorrectnessViolation, SpecMembershipError};
-pub use det::{DetMap, DetSet};
 pub use specs::{ObjectSpecs, SpecKind};

@@ -25,8 +25,8 @@ use crate::abstract_execution::{
     AbstractDo, AbstractExecution, AbstractExecutionBuilder, AbstractExecutionError,
 };
 use crate::bits;
-use crate::det::DetMap;
 use haec_model::{Dot, Execution, Relation};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// The visibility witness reported for one `do` event.
@@ -157,7 +157,7 @@ fn abstract_from_witness_ordered_inner(
         );
     }
     // Position of each do event within H.
-    let mut h_pos: DetMap<usize, usize> = DetMap::new();
+    let mut h_pos: BTreeMap<usize, usize> = BTreeMap::new();
     let mut builder = AbstractExecutionBuilder::new();
     for (h, &ix) in do_events.iter().enumerate() {
         let ev = ex.event(ix);
@@ -167,7 +167,7 @@ fn abstract_from_witness_ordered_inner(
     }
     // Dots are assigned by *execution* order (the machine convention), then
     // mapped to H positions.
-    let mut dot_pos: DetMap<Dot, usize> = DetMap::new();
+    let mut dot_pos: BTreeMap<Dot, usize> = BTreeMap::new();
     let mut update_counts = vec![0u32; ex.n_replicas()];
     for &ix in &ex.do_events() {
         let ev = ex.event(ix);

@@ -12,7 +12,7 @@
 //! type named `HashMap` would fire, which is a hazard worth renaming away.
 
 use crate::tokenizer::{Tok, TokKind};
-use haec_core::det::DetMap;
+use std::collections::BTreeMap;
 
 /// One leaf of a `use` tree, with the position of its final segment.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -31,7 +31,7 @@ pub struct UseImport {
 #[derive(Default, Debug)]
 pub struct Resolver {
     /// Binding name → full path.
-    aliases: DetMap<String, String>,
+    aliases: BTreeMap<String, String>,
     /// Module paths glob-imported (`use std::collections::*`).
     globs: Vec<String>,
 }

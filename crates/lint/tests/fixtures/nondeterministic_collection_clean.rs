@@ -1,12 +1,9 @@
-//! Non-firing: ordered std collections and the sanctioned det wrappers.
+//! Non-firing: ordered std collections, the sanctioned spelling.
 
-use haec_core::det::{DetMap, DetSet};
 use std::collections::{BTreeMap, BTreeSet};
 
 fn build() -> usize {
     let m: BTreeMap<u32, u32> = BTreeMap::new();
-    let d: DetMap<u32, u32> = DetMap::new();
     let s = BTreeSet::<u32>::new();
-    let e = DetSet::<u32>::new();
-    m.len() + d.len() + s.len() + e.len()
+    m.len() + s.len()
 }

@@ -1,18 +1,18 @@
 //! Non-firing: the same streaming-checker frontier written the sanctioned
-//! way — det wrappers for the live-event set (ascending-key iteration) and
+//! way — an ordered map for the live-event set (ascending-key iteration) and
 //! lag measured in logical events the feed advances, never the wall clock.
 
-use haec_core::det::DetMap;
+use std::collections::BTreeMap;
 
 struct Frontier {
-    live: DetMap<u64, u64>,
+    live: BTreeMap<u64, u64>,
     arrived: u64,
 }
 
 impl Frontier {
     fn new() -> Self {
         Frontier {
-            live: DetMap::new(),
+            live: BTreeMap::new(),
             arrived: 0,
         }
     }

@@ -1,9 +1,9 @@
-//! Non-firing: the det wrappers iterate in ascending key order, so the
-//! same shapes are deterministic.
+//! Non-firing: the ordered std collections iterate in ascending key order,
+//! so the same shapes are deterministic.
 
-use haec_core::det::{DetMap, DetSet};
+use std::collections::{BTreeMap, BTreeSet};
 
-fn scan(index: &DetMap<u32, u32>, seen: &DetSet<u32>) -> u32 {
+fn scan(index: &BTreeMap<u32, u32>, seen: &BTreeSet<u32>) -> u32 {
     let mut total = 0;
     for (k, v) in index {
         total += k + v;

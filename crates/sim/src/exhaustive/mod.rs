@@ -56,9 +56,9 @@
 
 use crate::obs::{NullObserver, Observer};
 use crate::simulator::Simulator;
-use haec_core::det::DetMap;
 use haec_model::{MsgId, ObjectId, Op, ReplicaId, StoreConfig, StoreFactory};
 use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -395,7 +395,7 @@ struct Dfs<'a> {
     queued: usize,
     /// `(global fingerprint, remaining depth)` → schedules in the
     /// fully-explored passing subtree rooted there.
-    memo: DetMap<(u64, usize), usize>,
+    memo: BTreeMap<(u64, usize), usize>,
     /// Per-replica state fingerprints, kept in sync with the live simulator
     /// so each dedup probe re-hashes only the machine the action touched.
     fps: Vec<u64>,
@@ -645,7 +645,7 @@ struct Symmetry {
     /// Payload content hash → per-permutation renamed payload
     /// fingerprints. Content-keyed, so entries stay valid across
     /// backtracking and are never invalidated.
-    payload_cache: DetMap<u64, Vec<u64>>,
+    payload_cache: BTreeMap<u64, Vec<u64>>,
 }
 
 impl Symmetry {
@@ -674,7 +674,7 @@ impl Symmetry {
             pinvs,
             ren_fps: vec![vec![0; n]; np],
             ren_inflight: vec![0; np],
-            payload_cache: DetMap::new(),
+            payload_cache: BTreeMap::new(),
         };
         for r in 0..n {
             sym.refresh_machine(sim, ReplicaId::new(r as u32));
@@ -702,7 +702,7 @@ impl Symmetry {
             .map(|f| {
                 let p = &sim.execution().message(f.msg).payload;
                 let ck = payload_content_hash(p);
-                if self.payload_cache.get(&ck).is_none() {
+                if !self.payload_cache.contains_key(&ck) {
                     let probe = sim.machine(ReplicaId::new(0));
                     let fps: Vec<u64> = self
                         .perms
@@ -785,7 +785,7 @@ impl<'a> Dfs<'a> {
             counterexample: None,
             prefix: Vec::new(),
             queued: 1,
-            memo: DetMap::new(),
+            memo: BTreeMap::new(),
             fps: (0..config.store_config.n_replicas)
                 .map(|r| sim.machine(ReplicaId::new(r as u32)).state_fingerprint())
                 .collect(),

@@ -2,7 +2,7 @@
 
 use super::hist::Histogram;
 use super::{DoEvent, FaultEvent, ForkJoinObserver, Observer, ReceiveEvent, SendEvent};
-use haec_core::det::DetMap;
+use std::collections::BTreeMap;
 
 /// Per-family tallies from scenario-family sweeps
 /// ([`Observer::on_family_member`]).
@@ -41,7 +41,7 @@ pub struct StatsObserver {
     shrink_steps: u64,
     dedup_hits: u64,
     dedup_misses: u64,
-    families: DetMap<String, FamilyTally>,
+    families: BTreeMap<String, FamilyTally>,
 }
 
 impl StatsObserver {
@@ -143,7 +143,7 @@ impl StatsObserver {
 
     /// Per-family member/failure tallies from scenario-family sweeps,
     /// keyed by family name (deterministic iteration order).
-    pub fn families(&self) -> &DetMap<String, FamilyTally> {
+    pub fn families(&self) -> &BTreeMap<String, FamilyTally> {
         &self.families
     }
 
@@ -208,9 +208,7 @@ impl Observer for StatsObserver {
         }
     }
     fn on_family_member(&mut self, family: &str, len: usize, passed: bool) {
-        let tally = self
-            .families
-            .get_or_insert_with(family.to_owned(), FamilyTally::default);
+        let tally = self.families.entry(family.to_owned()).or_default();
         tally.members += 1;
         tally.pattern_total += len as u64;
         if !passed {
@@ -250,9 +248,7 @@ impl ForkJoinObserver for StatsObserver {
         self.dedup_hits += child.dedup_hits;
         self.dedup_misses += child.dedup_misses;
         for (family, tally) in child.families.iter() {
-            let mine = self
-                .families
-                .get_or_insert_with(family.clone(), FamilyTally::default);
+            let mine = self.families.entry(family.clone()).or_default();
             mine.members += tally.members;
             mine.failures += tally.failures;
             mine.pattern_total += tally.pattern_total;

@@ -69,9 +69,9 @@ pub use filter::ScenarioFilter;
 pub use fixtures::{concurrent_write_pair, dup_storm, heal_before_quiesce, update_op};
 pub use run::run_member;
 
-use haec_core::det::DetSet;
 use haec_model::{ObjectId, Op, ReplicaId};
 use haec_testkit::Rng;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Rejection-sampling budget for [`Scenario::sample`] (per `Filter` node
@@ -235,7 +235,7 @@ impl Scenario {
     /// distinct member. The result is a pure function of `(self, depth)`
     /// — byte-identical across runs and thread counts.
     pub fn iter_to_depth(&self, depth: usize) -> Vec<Vec<Pat>> {
-        let mut seen: DetSet<Vec<Pat>> = DetSet::new();
+        let mut seen: BTreeSet<Vec<Pat>> = BTreeSet::new();
         let mut out = Vec::new();
         for m in self.enumerate(depth, &[]) {
             if seen.insert(m.clone()) {

@@ -21,10 +21,10 @@
 //!   where a write must be visible immediately — the §5.3 counterexample
 //!   showing a store without invisible reads can avoid OCC executions.
 
-use haec_core::det::DetSet;
 use haec_core::{complies, AbstractExecution};
 use haec_model::{MsgId, ReturnValue, StoreConfig, StoreFactory};
 use haec_sim::Simulator;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A response produced by the store that differs from the abstract
@@ -104,7 +104,7 @@ pub fn construct(factory: &dyn StoreFactory, a: &AbstractExecution) -> Construct
     let mut sim = Simulator::new(factory, config);
     // msg_of[h] = the first message broadcast after event h, if any.
     let mut msg_of: Vec<Option<MsgId>> = vec![None; a.len()];
-    let mut delivered: DetSet<(usize, usize)> = DetSet::new(); // (h, replica)
+    let mut delivered: BTreeSet<(usize, usize)> = BTreeSet::new(); // (h, replica)
     let mut mismatches = Vec::new();
     for e in 0..a.len() {
         let ev = a.event(e);

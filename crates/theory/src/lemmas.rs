@@ -15,10 +15,10 @@
 //!   has broadcast everything earlier, so the new write's information is
 //!   not yet relayed).
 
-use haec_core::det::DetMap;
 use haec_core::witness::DoWitness;
 use haec_model::{happens_before, Event, EventKind, Execution, Op, ReplicaId, Value};
 use haec_sim::Simulator;
+use std::collections::BTreeMap;
 use std::fmt;
 
 pub use haec_sim::convergence::check_quiescent_agreement;
@@ -57,7 +57,7 @@ impl std::error::Error for Prop2Violation {}
 pub fn check_prop2(ex: &Execution) -> Result<(), Prop2Violation> {
     let hb = happens_before(ex);
     // Map (obj, value) -> write event index.
-    let mut writes: DetMap<(u32, Value), usize> = DetMap::new();
+    let mut writes: BTreeMap<(u32, Value), usize> = BTreeMap::new();
     for (i, e) in ex.events().iter().enumerate() {
         if let Some((obj, Op::Write(v), _)) = e.as_do().map(|(o, op, rv)| (o, op.clone(), rv)) {
             writes.insert((obj.as_u32(), v), i);

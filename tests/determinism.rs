@@ -67,37 +67,34 @@ fn different_seeds_different_schedules() {
 }
 
 #[test]
-fn det_collections_iterate_in_stable_order() {
-    // The haec_core::det wrappers are the sanctioned replacement for raw
-    // hash collections (enforced by haec-lint): whatever order entries
-    // arrive in — here, two seeded shuffles of the same key set — the
-    // iteration order is ascending and therefore identical.
-    use haec::core::det::{DetMap, DetSet};
-    use haec_testkit::Rng;
+fn every_crate_policy_denies_hash_collections() {
+    // Ordered `std` collections are the only sanctioned spelling and the
+    // `nondeterministic-collection` ban is what enforces it, so the ban
+    // must reach every crate: the directories under `crates/` as they are
+    // on disk, plus the root package. A new crate, or a policy edit that
+    // opts one out, fails here.
+    use haec_lint::{lint_source, Lint, Policy};
 
-    let mut keys: Vec<u64> = (0..64).collect();
-    let mut shuffled = keys.clone();
-    let mut rng = Rng::seed_from_u64(99);
-    for i in (1..shuffled.len()).rev() {
-        let j = (rng.next_u64() % (i as u64 + 1)) as usize;
-        shuffled.swap(i, j);
+    let crates_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut sources = vec![("haec".to_owned(), "src/x.rs".to_owned())];
+    for entry in std::fs::read_dir(crates_dir).expect("crates/ is readable") {
+        let entry = entry.expect("crates/ entry");
+        if entry.path().is_dir() {
+            let key = entry.file_name().into_string().expect("utf-8 crate name");
+            let path = format!("crates/{key}/src/x.rs");
+            sources.push((key, path));
+        }
     }
-    assert_ne!(keys, shuffled, "shuffle must change insertion order");
-
-    let a: DetMap<u64, u64> = keys.iter().map(|&k| (k, k * 2)).collect();
-    let b: DetMap<u64, u64> = shuffled.iter().map(|&k| (k, k * 2)).collect();
-    let order_a: Vec<u64> = a.keys().copied().collect();
-    let order_b: Vec<u64> = b.keys().copied().collect();
-    keys.sort_unstable();
-    assert_eq!(order_a, keys, "DetMap iterates in ascending key order");
-    assert_eq!(order_a, order_b, "insertion order is invisible");
-
-    let sa: DetSet<u64> = keys.iter().copied().collect();
-    let sb: DetSet<u64> = shuffled.iter().copied().collect();
-    let items_a: Vec<u64> = sa.iter().copied().collect();
-    let items_b: Vec<u64> = sb.iter().copied().collect();
-    assert_eq!(items_a, keys);
-    assert_eq!(items_a, items_b);
+    assert!(sources.len() > 1, "no crate found under crates/");
+    for (key, path) in sources {
+        assert!(
+            Policy::for_crate(&key).denies(Lint::NondeterministicCollection),
+            "{key} is opted out of the hash-collection ban"
+        );
+        let found = lint_source(&path, "use std::collections::HashMap;");
+        assert_eq!(found.len(), 1, "{path}: {found:?}");
+        assert_eq!(found[0].lint, Lint::NondeterministicCollection, "{path}");
+    }
 }
 
 #[test]
