@@ -86,13 +86,17 @@ fn classify_path(path: &str) -> Option<(Lint, String)> {
     if path_is(path, &HASH_MAP_TYPES) {
         return Some((
             Lint::NondeterministicCollection,
-            format!("`{path}` has nondeterministic iteration order; use `haec_core::det::DetMap`"),
+            format!(
+                "`{path}` has nondeterministic iteration order; use `std::collections::BTreeMap`"
+            ),
         ));
     }
     if path_is(path, &HASH_SET_TYPES) {
         return Some((
             Lint::NondeterministicCollection,
-            format!("`{path}` has nondeterministic iteration order; use `haec_core::det::DetSet`"),
+            format!(
+                "`{path}` has nondeterministic iteration order; use `std::collections::BTreeSet`"
+            ),
         ));
     }
     if path_is(path, &WALL_CLOCK_TYPES) {

@@ -14,7 +14,7 @@ pub enum Lint {
     /// Raw `std::collections::{HashMap, HashSet}` import or use. Their
     /// iteration order is seeded from ambient entropy; any fold or scan
     /// over them is run-to-run nondeterministic. Use
-    /// `haec_core::det::{DetMap, DetSet}`.
+    /// `std::collections::{BTreeMap, BTreeSet}`.
     NondeterministicCollection,
     /// `std::time::{Instant, SystemTime}` outside the sanctioned timing
     /// modules (`testkit::bench`, `core::spans`), and `spans::collect`,
