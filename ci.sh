@@ -114,4 +114,14 @@ cmp target/service/smoke.json target/service/smoke-again.json || {
 echo "== fmt =="
 cargo fmt --check
 
+echo "== non-test lines per crate (informational, gates nothing: lines above each file's first #[cfg(test)] under crates/*/src, the count simplicity PRs quote before and after) =="
+total=0
+for src in crates/*/src; do
+    n=$(find "$src" -name '*.rs' -exec awk \
+        'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }' {} +)
+    printf '%-16s %6d\n' "${src%/src}" "$n"
+    total=$((total + n))
+done
+printf '%-16s %6d\n' workspace "$total"
+
 echo "ci: ok"
