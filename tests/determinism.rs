@@ -73,22 +73,22 @@ fn every_crate_policy_denies_hash_collections() {
     // must reach every crate: the directories under `crates/` as they are
     // on disk, plus the root package. A new crate, or a policy edit that
     // opts one out, fails here.
-    use haec_lint::{lint_source, Lint, Policy};
+    use haec_lint::{crate_key, lint_source, Lint, Policy};
 
     let crates_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
-    let mut sources = vec![("haec".to_owned(), "src/x.rs".to_owned())];
+    let mut paths = vec!["src/x.rs".to_owned()];
     for entry in std::fs::read_dir(crates_dir).expect("crates/ is readable") {
         let entry = entry.expect("crates/ entry");
         if entry.path().is_dir() {
-            let key = entry.file_name().into_string().expect("utf-8 crate name");
-            let path = format!("crates/{key}/src/x.rs");
-            sources.push((key, path));
+            let name = entry.file_name().into_string().expect("utf-8 crate name");
+            paths.push(format!("crates/{name}/src/x.rs"));
         }
     }
-    assert!(sources.len() > 1, "no crate found under crates/");
-    for (key, path) in sources {
+    assert!(paths.len() > 1, "no crate found under crates/");
+    for path in paths {
+        let key = crate_key(&path);
         assert!(
-            Policy::for_crate(&key).denies(Lint::NondeterministicCollection),
+            Policy::for_crate(key).denies(Lint::NondeterministicCollection),
             "{key} is opted out of the hash-collection ban"
         );
         let found = lint_source(&path, "use std::collections::HashMap;");
