@@ -11,6 +11,7 @@ use haec::core::witness::{abstract_from_witness, abstract_from_witness_ordered, 
 use haec::prelude::*;
 use haec::sim::exhaustive::{
     explore_all, explore_all_parallel, explore_all_replay, Action, ExhaustiveConfig,
+    ExhaustiveReport,
 };
 use haec::sim::obs::{self, stream::StreamObserver};
 use haec::sim::service::{run_service, ServiceRunConfig};
@@ -90,7 +91,9 @@ fn dedup_and_symmetry_tables_keep_their_pinned_counters_at_depth_4() {
     // `parallel_dedup_counters_known_answers` (dvv-mvr, 3 replicas × 2
     // objects, register ops, always-true predicate): the dedup table's
     // hits and misses, and under `symmetry` the canonical fingerprints the
-    // payload-renaming cache feeds it, as exact counts.
+    // payload-renaming cache feeds it, as exact counts. The parallel
+    // triples of the same test pin the cross-unit table the orchestrator
+    // fills between levels, identical at 1 and 2 threads.
     let dedup = ExhaustiveConfig {
         store_config: StoreConfig::new(3, 2),
         ops: vec![Op::Write(Value::new(0)), Op::Read],
@@ -105,13 +108,17 @@ fn dedup_and_symmetry_tables_keep_their_pinned_counters_at_depth_4() {
         symmetry: true,
         ..dedup.clone()
     };
-    for (config, pinned) in [(reduced, (6185, 902, 1474)), (dedup, (28123, 2774, 4594))] {
+    let counters = |r: ExhaustiveReport| (r.schedules, r.dedup_hits, r.dedup_misses);
+    for (config, sequential, parallel) in [
+        (reduced, (6185, 902, 1474), (6185, 1418, 2934)),
+        (dedup, (28123, 2774, 4594), (28123, 5631, 8468)),
+    ] {
         let report = explore_all(&DvvMvrStore, &config, &mut |_| true);
-        assert_eq!(
-            (report.schedules, report.dedup_hits, report.dedup_misses),
-            pinned,
-            "{config:?}"
-        );
+        assert_eq!(counters(report), sequential, "{config:?}");
+        for threads in [1, 2] {
+            let report = explore_all_parallel(&DvvMvrStore, &config, threads, &|_| true);
+            assert_eq!(counters(report), parallel, "threads={threads} {config:?}");
+        }
     }
 }
 
