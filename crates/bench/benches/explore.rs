@@ -37,6 +37,7 @@ use haec_model::{Op, StoreConfig, StoreFactory, Value};
 use haec_sim::exhaustive::{
     explore_all, explore_all_parallel, explore_all_replay, ExhaustiveConfig, ExhaustiveReport,
 };
+use haec_sim::obs::NullObserver;
 use haec_sim::Simulator;
 use haec_stores::{
     BoundedStore, CausalRegisterStore, CopsStore, DvvMvrStore, EwFlagStore, LwwStore, OrSetStore,
@@ -313,7 +314,13 @@ fn main() {
         // what lets cross-unit subtree hits land, and it keeps the stats
         // thread-invariant, so this is the configuration worth measuring.
         let par = run_engine(&format!("par-{t}"), runs, || {
-            explore_all_parallel(&DvvMvrStore, &dedup_config, t, &causal_check)
+            explore_all_parallel(
+                &DvvMvrStore,
+                &dedup_config,
+                t,
+                &causal_check,
+                &mut NullObserver,
+            )
         });
         assert_eq!(
             engine_runs[0].schedules, par.schedules,

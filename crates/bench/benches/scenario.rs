@@ -1,8 +1,8 @@
 //! Scenario-family enumeration and sweep timing: enumerate the fixture
 //! families (pinned member counts), then sweep heal-before-quiesce through
-//! the sequential and parallel family engines with a strict causal check.
-//! The parallel sweep must reproduce the sequential `FamilyReport` exactly
-//! before any timing is printed — this is the determinism gate the CI
+//! `explore_family` on one thread and on `--threads` with a strict causal
+//! check. The parallel sweep must reproduce the one-thread `FamilyReport`
+//! exactly before any timing is printed — this is the determinism gate the CI
 //! smoke step leans on.
 //!
 //! Usage:
@@ -15,7 +15,7 @@
 //! ```
 
 use haec_core::{causal, SpecKind};
-use haec_sim::exhaustive::explore_family_parallel;
+use haec_sim::obs::NullObserver;
 use haec_sim::scenario::{
     concurrent_write_pair, dup_storm, explore_family, heal_before_quiesce, FamilyConfig,
 };
@@ -77,9 +77,20 @@ fn main() {
 
     // Sweep gate: parallel must reproduce the sequential report exactly.
     let hbq = &families[1].1;
-    let sequential = explore_family(&DvvMvrStore, &config, "hbq", hbq, &mut strict_causal);
+    let sweep = |threads: usize| {
+        explore_family(
+            &DvvMvrStore,
+            &config,
+            threads,
+            "hbq",
+            hbq,
+            &strict_causal,
+            &mut NullObserver,
+        )
+    };
+    let sequential = sweep(1);
     assert!(sequential.all_passed(), "dvv-mvr is causal on every member");
-    let par = explore_family_parallel(&DvvMvrStore, &config, threads, "hbq", hbq, &strict_causal);
+    let par = sweep(threads);
     assert_eq!(
         par, sequential,
         "parallel sweep diverges at {threads} threads"
@@ -100,23 +111,10 @@ fn main() {
         }
     });
     let t_seq = time(&|| {
-        std::hint::black_box(explore_family(
-            &DvvMvrStore,
-            &config,
-            "hbq",
-            hbq,
-            &mut strict_causal,
-        ));
+        std::hint::black_box(sweep(1));
     });
     let t_par = time(&|| {
-        std::hint::black_box(explore_family_parallel(
-            &DvvMvrStore,
-            &config,
-            threads,
-            "hbq",
-            hbq,
-            &strict_causal,
-        ));
+        std::hint::black_box(sweep(threads));
     });
 
     if smoke {

@@ -49,8 +49,9 @@
 //!   [`state_fingerprint_renamed`](haec_model::ReplicaMachine::state_fingerprint_renamed)
 //!   hooks), renamed in-flight multiset, and renamed sleep set, so
 //!   π-related states share one memo entry. Requires `dedup`; stores that
-//!   do not implement the renaming hooks silently fall back to the plain
-//!   fingerprint. Symmetry changes *which* nodes are expanded, never the
+//!   do not implement the renaming hooks fall back to the plain
+//!   fingerprint, and the report says so
+//!   ([`ExhaustiveReport::symmetry_applied`]). Symmetry changes *which* nodes are expanded, never the
 //!   reported count: credits are count-preserving bijections, so
 //!   POR, POR+dedup and POR+dedup+symmetry all report the same count.
 
@@ -64,10 +65,7 @@ use std::hash::{Hash, Hasher};
 
 pub mod parallel;
 
-pub use parallel::{
-    explore_all_parallel, explore_all_parallel_observed, explore_family_parallel,
-    explore_family_parallel_observed,
-};
+pub use parallel::explore_all_parallel;
 
 /// One scheduler action in the enumeration.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -122,8 +120,9 @@ pub struct ExhaustiveConfig {
     pub por: bool,
     /// Replica-permutation symmetry canonicalization of the dedup key
     /// (see the module docs). Requires [`dedup`](Self::dedup); rejected by
-    /// [`validate`](Self::validate) otherwise. No-op (plain fingerprints)
-    /// for stores that do not implement the renaming hooks.
+    /// [`validate`](Self::validate) otherwise. No-op (plain fingerprints,
+    /// [`ExhaustiveReport::symmetry_applied`] false) for stores that do
+    /// not implement the renaming hooks.
     pub symmetry: bool,
 }
 
@@ -216,6 +215,11 @@ pub struct ExhaustiveReport {
     pub dedup_hits: u64,
     /// Fingerprint-cache misses (0 unless [`ExhaustiveConfig::dedup`]).
     pub dedup_misses: u64,
+    /// Whether dedup keys were canonicalised over replica renamings: true
+    /// only when [`ExhaustiveConfig::symmetry`] was set *and* the store
+    /// implements the `*_renamed` hooks. False under `symmetry: true`
+    /// means the search fell back to plain fingerprints.
+    pub symmetry_applied: bool,
 }
 
 impl ExhaustiveReport {
@@ -324,10 +328,14 @@ pub fn explore_all(
 }
 
 /// Like [`explore_all`], but reports search progress to `obs`:
-/// [`Observer::on_search_node`] fires once per expanded schedule prefix
-/// with the prefix depth and the current frontier size (prefixes queued
-/// but not yet visited), and [`Observer::on_dedup_lookup`] fires once per
-/// fingerprint-cache probe when dedup is enabled.
+/// [`Observer::on_search_node`] fires once per visited node with the
+/// node's schedule prefix — the prefixes the reductions keep, not the ones
+/// they prune — and the current frontier size (prefixes queued but not
+/// yet visited), and [`Observer::on_dedup_lookup`] fires once per
+/// fingerprint-cache probe when dedup is enabled. The prefixes are the
+/// coverage-completeness suite's window into the reduced tree: at small
+/// depths it checks every Mazurkiewicz trace class of the unreduced tree
+/// keeps a representative under [`ExhaustiveConfig::por`].
 ///
 /// # Panics
 ///
@@ -338,45 +346,17 @@ pub fn explore_all_observed(
     check: &mut dyn FnMut(&Simulator) -> bool,
     obs: &mut dyn Observer,
 ) -> ExhaustiveReport {
-    explore_all_inner(factory, config, check, obs, None)
-}
-
-/// Like [`explore_all`], but additionally fires `trace` once per visited
-/// node with the node's schedule prefix — including the prefixes the
-/// reductions keep, and excluding the ones they prune. This is the
-/// coverage-completeness suite's window into the reduced tree: at small
-/// depths it checks every Mazurkiewicz trace class of the unreduced tree
-/// keeps a representative under [`ExhaustiveConfig::por`].
-///
-/// # Panics
-///
-/// Panics if `config` fails [`ExhaustiveConfig::validate`].
-pub fn explore_all_traced(
-    factory: &dyn StoreFactory,
-    config: &ExhaustiveConfig,
-    check: &mut dyn FnMut(&Simulator) -> bool,
-    trace: &mut dyn FnMut(&[Action]),
-) -> ExhaustiveReport {
-    explore_all_inner(factory, config, check, &mut NullObserver, Some(trace))
-}
-
-/// Per-node schedule-prefix hook, as threaded through the DFS.
-type TraceHook<'a> = &'a mut dyn FnMut(&[Action]);
-
-fn explore_all_inner<'a>(
-    factory: &dyn StoreFactory,
-    config: &'a ExhaustiveConfig,
-    check: &'a mut dyn FnMut(&Simulator) -> bool,
-    obs: &'a mut dyn Observer,
-    trace: Option<TraceHook<'a>>,
-) -> ExhaustiveReport {
     config.validate().expect("invalid ExhaustiveConfig");
     let mut sim = Simulator::new(factory, config.store_config);
     let mut dfs = Dfs::new(config, &sim, check, obs);
-    dfs.trace = trace;
     dfs.visit(&mut sim, &[]);
     dfs.report()
 }
+
+/// `(global fingerprint, remaining depth)` → schedules in the
+/// fully-explored passing subtree rooted there. The walker's private memo
+/// and the parallel engine's cross-unit table are both one of these.
+type Memo = BTreeMap<(u64, usize), usize>;
 
 /// The incremental depth-first explorer — the only tree walker: one live
 /// simulator walked along the current branch, one per-step undo per edge.
@@ -393,24 +373,19 @@ struct Dfs<'a> {
     /// Prefixes queued but not yet visited — the DFS equivalent of the
     /// replay reference's stack size, reported as the frontier.
     queued: usize,
-    /// `(global fingerprint, remaining depth)` → schedules in the
-    /// fully-explored passing subtree rooted there.
-    memo: BTreeMap<(u64, usize), usize>,
+    /// Subtrees this walk has fully explored.
+    memo: Memo,
     /// Per-replica state fingerprints, kept in sync with the live simulator
     /// so each dedup probe re-hashes only the machine the action touched.
     fps: Vec<u64>,
     /// Cached [`inflight_fingerprint`], refreshed only after flush/deliver.
     inflight_fp: u64,
-    /// Symmetry caches; `Some` only when `config.symmetry` and the store
-    /// implements the renaming hooks.
+    /// Symmetry caches; `Some` only when [`symmetry_applies`].
     sym: Option<Symmetry>,
     /// Shared cross-unit dedup table (parallel engine only). Probed
-    /// read-only after the private memo; published between levels by the
+    /// read-only after the private memo; filled between levels by the
     /// orchestrator, never written by workers.
-    shared: Option<&'a parallel::SharedTable>,
-    /// Optional per-node hook receiving every visited schedule prefix
-    /// (the coverage-completeness suite's window into the reduced tree).
-    trace: Option<TraceHook<'a>>,
+    shared: Option<&'a Memo>,
     /// Prefix length at which a node becomes a work unit in `units`
     /// instead of being visited. `usize::MAX` (never) except in the
     /// parallel orchestrator's prefix phase.
@@ -648,16 +623,25 @@ struct Symmetry {
     payload_cache: BTreeMap<u64, Vec<u64>>,
 }
 
+/// Whether the symmetry quotient takes effect: asked for, and the store
+/// answers the renaming probe (identity permutation on machine 0 — all
+/// machines of a store answer alike) instead of keeping the default
+/// opt-out hooks. What [`ExhaustiveReport::symmetry_applied`] reports.
+fn symmetry_applies(config: &ExhaustiveConfig, sim: &Simulator) -> bool {
+    let identity: Vec<u32> = (0..config.store_config.n_replicas as u32).collect();
+    config.symmetry
+        && sim
+            .machine(ReplicaId::new(0))
+            .state_fingerprint_renamed(&identity)
+            .is_some()
+}
+
 impl Symmetry {
-    /// Probes the store for renaming support (identity permutation on
-    /// machine 0 — all machines of a store answer alike) and initialises
-    /// the caches from the simulator's initial state. `None` when the
-    /// store keeps the default opt-out hooks.
-    fn try_new(sim: &Simulator, config: &ExhaustiveConfig) -> Option<Symmetry> {
+    /// Initialises the caches from the simulator's initial state; the
+    /// store must have passed [`symmetry_applies`].
+    fn new(sim: &Simulator, config: &ExhaustiveConfig) -> Symmetry {
         let n = config.store_config.n_replicas;
         let perms = all_perms(n);
-        sim.machine(ReplicaId::new(0))
-            .state_fingerprint_renamed(&perms[0])?;
         let pinvs: Vec<Vec<u32>> = perms
             .iter()
             .map(|p| {
@@ -680,7 +664,7 @@ impl Symmetry {
             sym.refresh_machine(sim, ReplicaId::new(r as u32));
         }
         sym.refresh_inflight(sim);
-        Some(sym)
+        sym
     }
 
     /// Re-hashes one machine's renamed fingerprints (one column of
@@ -790,13 +774,8 @@ impl<'a> Dfs<'a> {
                 .map(|r| sim.machine(ReplicaId::new(r as u32)).state_fingerprint())
                 .collect(),
             inflight_fp: inflight_fingerprint(sim),
-            sym: if config.symmetry {
-                Symmetry::try_new(sim, config)
-            } else {
-                None
-            },
+            sym: symmetry_applies(config, sim).then(|| Symmetry::new(sim, config)),
             shared: None,
-            trace: None,
             split: usize::MAX,
             units: Vec::new(),
             hits: 0,
@@ -812,6 +791,7 @@ impl<'a> Dfs<'a> {
             counterexample: self.counterexample.take(),
             dedup_hits: self.hits,
             dedup_misses: self.misses,
+            symmetry_applied: self.sym.is_some(),
         }
     }
 
@@ -860,11 +840,8 @@ impl<'a> Dfs<'a> {
             self.done = true;
             return 0;
         }
-        self.obs.on_search_node(self.prefix.len(), self.queued);
+        self.obs.on_search_node(&self.prefix, self.queued);
         self.schedules += 1;
-        if let Some(trace) = self.trace.as_mut() {
-            trace(&self.prefix);
-        }
         if !(self.check)(sim) {
             self.counterexample = Some(self.prefix.clone());
             self.done = true;
@@ -921,11 +898,11 @@ impl<'a> Dfs<'a> {
                     self.dedup_key(sim, &child_sleep),
                     self.config.depth - self.prefix.len(),
                 );
-                let cached = self.memo.get(&key).copied().or_else(|| {
-                    self.shared
-                        .and_then(|table| table.get(key.0, key.1))
-                        .map(|sub| sub as usize)
-                });
+                let cached = self
+                    .memo
+                    .get(&key)
+                    .or_else(|| self.shared.and_then(|table| table.get(&key)))
+                    .copied();
                 if let Some(sub) = cached {
                     self.hits += 1;
                     self.obs.on_dedup_lookup(true);
@@ -1027,12 +1004,14 @@ pub fn explore_all_replay(
         counterexample,
         dedup_hits: 0,
         dedup_misses: 0,
+        symmetry_applied: false,
     }
 }
 
 /// Shrinks a failing schedule by greedy delta debugging: repeatedly drops
 /// actions while the predicate still *fails* on the replayed execution.
-/// Returns a (locally) minimal counterexample.
+/// Returns a (locally) minimal counterexample. Each tried candidate
+/// schedule is reported to `obs` via [`Observer::on_shrink_step`].
 ///
 /// `check` has the same polarity as in [`explore_all`]: `false` = failure,
 /// so the input must satisfy `!check(replay(input))`.
@@ -1041,21 +1020,6 @@ pub fn explore_all_replay(
 ///
 /// Panics if the input schedule does not actually fail.
 pub fn shrink(
-    factory: &dyn StoreFactory,
-    config: &ExhaustiveConfig,
-    actions: &[Action],
-    check: &mut dyn FnMut(&Simulator) -> bool,
-) -> Vec<Action> {
-    shrink_observed(factory, config, actions, check, &mut NullObserver)
-}
-
-/// Like [`shrink`], but reports each tried candidate schedule to `obs` via
-/// [`Observer::on_shrink_step`].
-///
-/// # Panics
-///
-/// Panics if the input schedule does not actually fail.
-pub fn shrink_observed(
     factory: &dyn StoreFactory,
     config: &ExhaustiveConfig,
     actions: &[Action],
@@ -1164,7 +1128,13 @@ pub(crate) mod tests {
         let sim = replay(&BoundedStore, &config, &cex);
         assert!(!causal_check(&sim));
         // ...and shrinks to a minimal failing schedule.
-        let minimal = shrink(&BoundedStore, &config, &cex, &mut causal_check);
+        let minimal = shrink(
+            &BoundedStore,
+            &config,
+            &cex,
+            &mut causal_check,
+            &mut NullObserver,
+        );
         assert!(minimal.len() <= cex.len());
         let sim = replay(&BoundedStore, &config, &minimal);
         assert!(!causal_check(&sim));
@@ -1181,7 +1151,13 @@ pub(crate) mod tests {
     #[should_panic(expected = "must be failing")]
     fn shrink_rejects_passing_schedules() {
         let config = ExhaustiveConfig::default();
-        shrink(&DvvMvrStore, &config, &[], &mut causal_check);
+        shrink(
+            &DvvMvrStore,
+            &config,
+            &[],
+            &mut causal_check,
+            &mut NullObserver,
+        );
     }
 
     #[test]
@@ -1216,7 +1192,7 @@ pub(crate) mod tests {
             Action::Flush(ReplicaId::new(0)),
             Action::Deliver(0),
         ];
-        let minimal = shrink_observed(&DvvMvrStore, &config, &actions, &mut |_| false, &mut stats);
+        let minimal = shrink(&DvvMvrStore, &config, &actions, &mut |_| false, &mut stats);
         assert!(minimal.is_empty(), "always-failing check shrinks to empty");
         assert!(stats.shrink_steps() > 0);
     }
@@ -1422,10 +1398,10 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn symmetry_falls_back_silently_on_unsupported_stores() {
+    fn symmetry_fallback_on_unsupported_stores_is_reported() {
         // The LWW store keeps raw replica-id tie-breaks and opts out of the
         // renaming hooks: symmetry must degrade to plain dedup, changing
-        // nothing.
+        // nothing but the report's `symmetry_applied`.
         use haec_stores::LwwStore;
         let config = ExhaustiveConfig {
             depth: 4,
@@ -1445,6 +1421,23 @@ pub(crate) mod tests {
         assert_eq!(plain.schedules, sym.schedules);
         assert_eq!(plain.dedup_hits, sym.dedup_hits);
         assert_eq!(plain.dedup_misses, sym.dedup_misses);
+        assert!(!plain.symmetry_applied, "symmetry was not asked for");
+        assert!(!sym.symmetry_applied, "lww has no renaming hooks");
+        let symmetric = ExhaustiveConfig {
+            symmetry: true,
+            ..config.clone()
+        };
+        assert!(explore_all(&DvvMvrStore, &symmetric, &mut |_| true).symmetry_applied);
+        assert!(!explore_all(&DvvMvrStore, &config, &mut |_| true).symmetry_applied);
+        // The parallel merge reports the orchestrator's probe.
+        assert!(
+            explore_all_parallel(&DvvMvrStore, &symmetric, 2, &|_| true, &mut NullObserver)
+                .symmetry_applied
+        );
+        assert!(
+            !explore_all_parallel(&LwwStore, &symmetric, 2, &|_| true, &mut NullObserver)
+                .symmetry_applied
+        );
     }
 
     #[test]
@@ -1454,10 +1447,15 @@ pub(crate) mod tests {
             max_schedules: usize::MAX,
             ..ExhaustiveConfig::default()
         };
-        let mut prefixes: Vec<Vec<Action>> = Vec::new();
-        let report = explore_all_traced(&DvvMvrStore, &config, &mut |_| true, &mut |p| {
-            prefixes.push(p.to_vec())
-        });
+        struct Prefixes(Vec<Vec<Action>>);
+        impl Observer for Prefixes {
+            fn on_search_node(&mut self, prefix: &[Action], _frontier: usize) {
+                self.0.push(prefix.to_vec());
+            }
+        }
+        let mut seen = Prefixes(Vec::new());
+        let report = explore_all_observed(&DvvMvrStore, &config, &mut |_| true, &mut seen);
+        let prefixes = seen.0;
         assert_eq!(prefixes.len(), report.schedules);
         assert_eq!(prefixes[0], Vec::new(), "root fires first");
         // Prefix lengths never exceed the depth and parents precede

@@ -9,31 +9,35 @@
 //!    split depth, producing (a) the prefix nodes the sequential engine
 //!    would visit, in its exact pre-order, and (b) one **work unit** per
 //!    subtree root at that depth: the action prefix, a
-//!    [`SimSnapshot`](crate::simulator::SimSnapshot) of the simulator
-//!    state there, and the frontier offset and sleep set the sequential
-//!    engine would carry into that subtree. The partition is a pure
-//!    function of the config — no thread count, no clocks.
+//!    [`SimSnapshot`](crate::SimSnapshot) of the simulator state there,
+//!    and the frontier offset and sleep set the sequential engine would
+//!    carry into that subtree. The partition is a pure function of the
+//!    config — no thread count, no clocks.
 //! 2. **Explore.** Workers drain the unit list **level by level**: units
 //!    are chunked in canonical order into levels of `LEVEL_WIDTH`, one
-//!    [`par_map`] per level. Each unit is explored by the same `Dfs` on a
-//!    private [`Simulator`](crate::simulator::Simulator) rebuilt from the
-//!    snapshot, with a private memo table, a forked
-//!    ([`ForkJoinObserver::fork`]) observer — and, with dedup on, a
-//!    **shared cross-unit dedup table** ([`SharedTable`]) that workers
-//!    probe *read-only*. Between levels the orchestrator publishes every
-//!    completed unit's memo entries into the shared table, in canonical
-//!    unit order with first-write-wins collisions, so the table a level
-//!    reads is a pure function of the config — never of worker timing.
+//!    `par_map` per level. Each unit is explored by the same `Dfs` on a
+//!    private [`Simulator`] rebuilt from the snapshot, with a private memo
+//!    table, a forked ([`ForkJoinObserver::fork`]) observer — and, with
+//!    dedup on, a **shared cross-unit dedup table** that workers probe
+//!    *read-only*: an ordered map of the walker's own memo type, owned by
+//!    the orchestrator and lent `&` to each level's workers. Between
+//!    levels — `par_map`'s scoped threads have joined, so no reader
+//!    exists — the orchestrator adds every completed unit's memo entries
+//!    to it, in canonical unit order, first write wins, so the table a
+//!    level reads is a pure function of the config — never of worker
+//!    timing.
 //! 3. **Merge.** Worker results are folded in **canonical subtree order**
 //!    (the order the sequential DFS visits the units), never completion
 //!    order: schedule counts accumulate, the first counterexample in
 //!    canonical order wins, buffered prefix-node events and forked
 //!    observers replay into the caller's observer exactly where the
-//!    sequential engine would have produced them.
+//!    sequential engine would have produced them — every
+//!    [`Observer::on_search_node`] prefix included.
 //!
 //! With dedup off the resulting [`ExhaustiveReport`] and observer state are
-//! bit-identical to [`explore_all`](super::explore_all) for every thread
-//! count — the differential suite and `tests/determinism.rs` pin this.
+//! bit-identical to [`explore_all_observed`](super::explore_all_observed)
+//! for every thread count — the differential suite and
+//! `tests/determinism.rs` pin this.
 //! With dedup **on**, schedule counts and counterexamples still match the
 //! sequential engine exactly (memoisation never changes either), and the
 //! hit/miss *statistics* are **thread-invariant** too: a unit's probes see
@@ -57,17 +61,15 @@
 //! This module is the one place in the workspace allowed to use
 //! `std::thread` — see `thread_exempt` in `haec-lint` and DESIGN.md §9 for
 //! the policy rationale — so every fan-out (this worker pool, the family
-//! sweep, [`run_service_sweep`](crate::service::run_service_sweep)) goes
-//! through [`par_map`].
+//! sweep of [`explore_family`](crate::scenario::explore_family),
+//! [`run_service_sweep`](crate::service::run_service_sweep)) goes through
+//! `par_map`.
 
-use super::{Action, Dfs, ExhaustiveConfig, ExhaustiveReport, SleepKey};
-use crate::obs::{ForkJoinObserver, NullObserver, Observer};
-use crate::scenario::{member_passes, sweep_family, FamilyConfig, FamilyReport, Scenario};
+use super::{symmetry_applies, Action, Dfs, ExhaustiveConfig, ExhaustiveReport, Memo, SleepKey};
+use crate::obs::{ForkJoinObserver, Observer};
 use crate::simulator::{SimSnapshot, Simulator};
 use haec_model::StoreFactory;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Prefix depth at which the schedule tree is split into work units
@@ -135,91 +137,6 @@ pub(crate) fn par_map<T: Sync, R: Send>(
         .collect()
 }
 
-/// The cross-unit dedup table: a fixed-capacity, open-addressed hash map
-/// from `(fingerprint, remaining depth)` to the memoised subtree schedule
-/// count. Reads are lock-free and wait-free (a bounded linear probe over
-/// atomics); writes happen only at level barriers, from the single
-/// orchestrator thread, in canonical unit order with first-write-wins
-/// collision policy and a bounded probe neighbourhood (a full
-/// neighbourhood deterministically drops the entry). Key 0 marks an empty
-/// slot; the slot key is a nonzero hash of the pair, so distinct pairs
-/// colliding on all 64 bits alias — the same accepted risk tier as the
-/// fingerprint memo itself.
-pub(crate) struct SharedTable {
-    keys: Vec<AtomicU64>,
-    vals: Vec<AtomicU64>,
-    mask: usize,
-}
-
-/// Shared-table capacity (slots). Power of two; at 16 bytes per slot the
-/// table is 4 MiB — comfortably above the memo population of any in-repo
-/// configuration, so drops are rare.
-const SHARED_TABLE_CAP: usize = 1 << 18;
-/// Bounded linear-probe length for both reads and writes.
-const SHARED_PROBE_LIMIT: usize = 32;
-
-impl SharedTable {
-    fn new() -> SharedTable {
-        SharedTable {
-            keys: (0..SHARED_TABLE_CAP).map(|_| AtomicU64::new(0)).collect(),
-            vals: (0..SHARED_TABLE_CAP).map(|_| AtomicU64::new(0)).collect(),
-            mask: SHARED_TABLE_CAP - 1,
-        }
-    }
-
-    /// Nonzero slot key of a `(fingerprint, remaining)` pair.
-    fn slot_key(fp: u64, remaining: usize) -> u64 {
-        let mut h = DefaultHasher::new();
-        fp.hash(&mut h);
-        remaining.hash(&mut h);
-        h.finish().max(1)
-    }
-
-    /// Looks up a memoised subtree count. Workers call this concurrently;
-    /// SeqCst loads because the outcome decides reported dedup counters
-    /// and schedule credits (see `relaxed-atomic` in haec-lint).
-    /// Publication is level-barriered, so everything visible here was
-    /// written before this worker's level began.
-    pub(crate) fn get(&self, fp: u64, remaining: usize) -> Option<u64> {
-        let k = Self::slot_key(fp, remaining);
-        let mut i = (k as usize) & self.mask;
-        for _ in 0..SHARED_PROBE_LIMIT {
-            let cur = self.keys[i].load(Ordering::SeqCst);
-            if cur == 0 {
-                return None;
-            }
-            if cur == k {
-                return Some(self.vals[i].load(Ordering::SeqCst));
-            }
-            i = (i + 1) & self.mask;
-        }
-        None
-    }
-
-    /// Publishes one entry. Only the orchestrator calls this, strictly
-    /// between worker levels, in canonical order — first write wins, and
-    /// a full probe neighbourhood drops the entry (deterministically,
-    /// since publication order is deterministic). The value is stored
-    /// before the key so a slot whose key is visible always carries its
-    /// count.
-    fn put(&self, fp: u64, remaining: usize, count: u64) {
-        let k = Self::slot_key(fp, remaining);
-        let mut i = (k as usize) & self.mask;
-        for _ in 0..SHARED_PROBE_LIMIT {
-            let cur = self.keys[i].load(Ordering::SeqCst);
-            if cur == 0 {
-                self.vals[i].store(count, Ordering::SeqCst);
-                self.keys[i].store(k, Ordering::SeqCst);
-                return;
-            }
-            if cur == k {
-                return;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-}
-
 /// One shard of the schedule tree: the subtree rooted at `prefix`, as cut
 /// by `Dfs::visit` at the split depth.
 pub(super) struct Unit {
@@ -240,13 +157,14 @@ pub(super) struct Unit {
 }
 
 /// Buffers the prefix phase's `on_search_node` events as
-/// `(depth, frontier)`, so the merge can stop replaying exactly where the
-/// sequential engine would have stopped.
-struct NodeLog(Vec<(usize, usize)>);
+/// `(prefix, frontier)` — a few hundred nodes of at most `SPLIT_DEPTH`
+/// actions — so the merge can stop replaying exactly where the sequential
+/// engine would have stopped.
+struct NodeLog(Vec<(Vec<Action>, usize)>);
 
 impl Observer for NodeLog {
-    fn on_search_node(&mut self, depth: usize, frontier: usize) {
-        self.0.push((depth, frontier));
+    fn on_search_node(&mut self, prefix: &[Action], frontier: usize) {
+        self.0.push((prefix.to_vec(), frontier));
     }
 }
 
@@ -254,10 +172,9 @@ impl Observer for NodeLog {
 /// first counterexample).
 struct UnitResult<O> {
     report: ExhaustiveReport,
-    /// The unit's private memo entries `(fingerprint, remaining, count)`,
-    /// in deterministic (BTree) key order — the orchestrator publishes
-    /// these into the shared table at the next level barrier.
-    inserts: Vec<(u64, usize, u64)>,
+    /// The unit's private memo — the orchestrator adds its entries to the
+    /// shared table at the next level barrier.
+    memo: Memo,
     obs: O,
 }
 
@@ -269,7 +186,7 @@ fn explore_unit<O: ForkJoinObserver>(
     factory: &dyn StoreFactory,
     config: &ExhaustiveConfig,
     check: &(dyn Fn(&Simulator) -> bool + Sync),
-    table: Option<&SharedTable>,
+    table: &Memo,
     unit: Unit,
     mut obs: O,
 ) -> UnitResult<O> {
@@ -278,26 +195,23 @@ fn explore_unit<O: ForkJoinObserver>(
     let mut dfs = Dfs::new(config, &sim, &mut local_check, &mut obs);
     dfs.prefix = unit.prefix;
     dfs.queued = unit.offset + 1;
-    dfs.shared = table;
+    dfs.shared = Some(table);
     dfs.visit(&mut sim, &unit.sleep);
     let report = dfs.report();
-    let inserts = dfs
-        .memo
-        .iter()
-        .map(|(&(fp, rem), &count)| (fp, rem, count as u64))
-        .collect();
-    UnitResult {
-        report,
-        inserts,
-        obs,
-    }
+    let memo = std::mem::take(&mut dfs.memo);
+    UnitResult { report, memo, obs }
 }
 
-/// Like [`explore_all`](super::explore_all), but shards the schedule tree
-/// across `threads` worker threads (clamped to the number of work units).
-/// The report is bit-identical to the sequential engine for every thread
-/// count (see the module docs for the exact dedup-statistics contract);
-/// only wall-clock time changes.
+/// Like [`explore_all_observed`](super::explore_all_observed), but shards
+/// the schedule tree across `threads` worker threads (clamped to the
+/// number of work units). The report is bit-identical to the sequential
+/// engine for every thread count (see the module docs for the exact
+/// dedup-statistics contract); only wall-clock time changes. Search
+/// progress replays into `obs` exactly as the sequential engine would
+/// have produced it: prefix-node events in canonical pre-order, each
+/// unit's events as one [`ForkJoinObserver::join`] at the unit's canonical
+/// position ([`NullObserver`](crate::obs::NullObserver) for a caller with
+/// nothing to observe).
 ///
 /// Unlike the sequential entry points the predicate is `Fn + Sync`: it is
 /// evaluated concurrently from worker threads.
@@ -306,25 +220,7 @@ fn explore_unit<O: ForkJoinObserver>(
 ///
 /// Panics if `config` fails [`ExhaustiveConfig::validate`] or `threads` is
 /// zero.
-pub fn explore_all_parallel(
-    factory: &dyn StoreFactory,
-    config: &ExhaustiveConfig,
-    threads: usize,
-    check: &(dyn Fn(&Simulator) -> bool + Sync),
-) -> ExhaustiveReport {
-    explore_all_parallel_observed(factory, config, threads, check, &mut NullObserver)
-}
-
-/// Like [`explore_all_parallel`], but replays search progress into `obs`
-/// exactly as [`explore_all_observed`](super::explore_all_observed) would:
-/// prefix-node events in canonical pre-order, each unit's events as one
-/// [`ForkJoinObserver::join`] at the unit's canonical position.
-///
-/// # Panics
-///
-/// Panics if `config` fails [`ExhaustiveConfig::validate`] or `threads` is
-/// zero.
-pub fn explore_all_parallel_observed<O: ForkJoinObserver + Send>(
+pub fn explore_all_parallel<O: ForkJoinObserver + Send>(
     factory: &dyn StoreFactory,
     config: &ExhaustiveConfig,
     threads: usize,
@@ -349,8 +245,11 @@ pub fn explore_all_parallel_observed<O: ForkJoinObserver + Send>(
         ..worker_config.clone()
     };
     let mut nodes = NodeLog(Vec::new());
+    let mut sim = Simulator::new(factory, config.store_config);
+    // The prefix walk runs with `symmetry` off, so the report's flag comes
+    // from this probe — the one every unit's walker repeats.
+    let symmetry_applied = symmetry_applies(config, &sim);
     let (units, mut prefix_cex) = {
-        let mut sim = Simulator::new(factory, config.store_config);
         let mut local_check = |sim: &Simulator| check(sim);
         let mut walk = Dfs::new(&prefix_config, &sim, &mut local_check, &mut nodes);
         walk.split = SPLIT_DEPTH.min(config.depth - 1);
@@ -372,7 +271,11 @@ pub fn explore_all_parallel_observed<O: ForkJoinObserver + Send>(
         .into_iter()
         .map(|unit| Mutex::new(Some((unit, obs.fork()))))
         .collect();
-    let table = config.dedup.then(SharedTable::new);
+    // The cross-unit dedup table. Workers of a level read it through `&`;
+    // it is written only below, between levels, when `par_map` has
+    // returned and its scoped threads are gone. Empty, and never probed,
+    // with dedup off.
+    let mut table = Memo::new();
     let earliest_cex = AtomicUsize::new(usize::MAX);
     let mut results: Vec<Option<UnitResult<O>>> = Vec::with_capacity(work.len());
     for level in work.chunks(LEVEL_WIDTH) {
@@ -381,7 +284,7 @@ pub fn explore_all_parallel_observed<O: ForkJoinObserver + Send>(
         // counterexample are skipped — the cex also stops the level loop
         // before the next publication, so neither the merge nor a later
         // level can observe the skip (or the timing-dependent set of
-        // in-level inserts it suppresses).
+        // in-level memo entries it suppresses).
         //
         // SeqCst throughout: these atomics decide which units are skipped
         // and which counterexample cancels the sweep. The canonical-order
@@ -398,7 +301,7 @@ pub fn explore_all_parallel_observed<O: ForkJoinObserver + Send>(
                 .expect("worker poisoned a unit cell")
                 .take()
                 .expect("unit claimed twice");
-            let result = explore_unit(factory, &worker_config, check, table.as_ref(), unit, obs);
+            let result = explore_unit(factory, &worker_config, check, &table, unit, obs);
             if result.report.counterexample.is_some() {
                 earliest_cex.fetch_min(i, Ordering::SeqCst);
             }
@@ -411,14 +314,16 @@ pub fn explore_all_parallel_observed<O: ForkJoinObserver + Send>(
         if earliest_cex.load(Ordering::SeqCst) < results.len() {
             break;
         }
-        if let Some(table) = &table {
-            for result in &results[start..] {
-                let result = result
-                    .as_ref()
-                    .expect("level barrier reached an unexplored unit");
-                for &(fp, rem, count) in &result.inserts {
-                    table.put(fp, rem, count);
-                }
+        // Canonical unit order, BTree key order within a unit, first
+        // write wins: the same entry two units memoised keeps the count of
+        // the canonically earlier one (equal anyway, up to fingerprint
+        // collisions).
+        for result in &results[start..] {
+            let result = result
+                .as_ref()
+                .expect("level barrier reached an unexplored unit");
+            for (&key, &count) in &result.memo {
+                table.entry(key).or_insert(count);
             }
         }
     }
@@ -466,9 +371,9 @@ pub fn explore_all_parallel_observed<O: ForkJoinObserver + Send>(
             hits += report.dedup_hits;
             misses += report.dedup_misses;
             obs.join(child);
-        } else if let Some(&(depth, frontier)) = nodes.get(replayed) {
+        } else if let Some((prefix, frontier)) = nodes.get(replayed) {
             replayed += 1;
-            obs.on_search_node(depth, frontier);
+            obs.on_search_node(prefix, *frontier);
             schedules += 1;
             if replayed == nodes.len() {
                 counterexample = prefix_cex.take();
@@ -482,68 +387,8 @@ pub fn explore_all_parallel_observed<O: ForkJoinObserver + Send>(
         counterexample,
         dedup_hits: hits,
         dedup_misses: misses,
+        symmetry_applied,
     }
-}
-
-/// The family sweep ([`explore_family`](crate::scenario::explore_family))
-/// with member verdicts computed on up to `threads` workers: the members
-/// to run are a pure function of `(scenario, config)`, each member's
-/// verdict is computed on a private simulator, and the sweep has no early
-/// exit — so sharding members changes nothing observable. The report
-/// (including [`cap_hit`](crate::scenario::FamilyReport::cap_hit)
-/// accounting and the canonical-first counterexample) is bit-identical for
-/// every thread count.
-///
-/// # Panics
-///
-/// Panics if `config` fails
-/// [`FamilyConfig::validate`](crate::scenario::FamilyConfig::validate) or
-/// `threads` is zero.
-pub fn explore_family_parallel(
-    factory: &dyn StoreFactory,
-    config: &FamilyConfig,
-    threads: usize,
-    name: &str,
-    scenario: &Scenario,
-    check: &(dyn Fn(&Simulator) -> bool + Sync),
-) -> FamilyReport {
-    explore_family_parallel_observed(
-        factory,
-        config,
-        threads,
-        name,
-        scenario,
-        check,
-        &mut NullObserver,
-    )
-}
-
-/// Like [`explore_family_parallel`], but announces every member to `obs`
-/// via [`Observer::on_family_member`]. Workers only compute verdicts; the
-/// hooks fire on the caller's observer during the canonical-order merge,
-/// so the observer sees the exact event stream of
-/// [`explore_family_observed`](crate::scenario::explore_family_observed)
-/// regardless of thread count.
-///
-/// # Panics
-///
-/// Panics if `config` fails
-/// [`FamilyConfig::validate`](crate::scenario::FamilyConfig::validate) or
-/// `threads` is zero.
-pub fn explore_family_parallel_observed<O: Observer>(
-    factory: &dyn StoreFactory,
-    config: &FamilyConfig,
-    threads: usize,
-    name: &str,
-    scenario: &Scenario,
-    check: &(dyn Fn(&Simulator) -> bool + Sync),
-    obs: &mut O,
-) -> FamilyReport {
-    sweep_family(config, name, scenario, obs, |members| {
-        par_map(threads, members, |_, member| {
-            member_passes(factory, config, member, &mut |sim| check(sim))
-        })
-    })
 }
 
 #[cfg(test)]
@@ -552,6 +397,7 @@ mod tests {
     use super::super::{explore_all, explore_all_observed, ExhaustiveConfig};
     use super::*;
     use crate::obs::stats::StatsObserver;
+    use crate::obs::NullObserver;
     use haec_core::SpecKind;
     use haec_stores::{BoundedStore, DvvMvrStore};
 
@@ -568,7 +414,13 @@ mod tests {
         let config = depth_config(4);
         let sequential = explore_all(&DvvMvrStore, &config, &mut causal_check);
         for threads in [1, 2, 3, 8] {
-            let par = explore_all_parallel(&DvvMvrStore, &config, threads, &causal_check);
+            let par = explore_all_parallel(
+                &DvvMvrStore,
+                &config,
+                threads,
+                &causal_check,
+                &mut NullObserver,
+            );
             assert_eq!(par.schedules, sequential.schedules, "threads={threads}");
             assert_eq!(par.counterexample, sequential.counterexample);
             assert_eq!(par.dedup_hits, 0);
@@ -586,7 +438,7 @@ mod tests {
             ..depth_config(1)
         };
         let sequential = explore_all(&DvvMvrStore, &config, &mut causal_check);
-        let par = explore_all_parallel(&DvvMvrStore, &config, 2, &causal_check);
+        let par = explore_all_parallel(&DvvMvrStore, &config, 2, &causal_check, &mut NullObserver);
         assert_eq!(par.schedules, sequential.schedules);
         assert_eq!(par.counterexample, sequential.counterexample);
         assert_eq!(par.dedup_hits, sequential.dedup_hits);
@@ -600,12 +452,19 @@ mod tests {
             ..depth_config(4)
         };
         let sequential = explore_all(&DvvMvrStore, &config, &mut causal_check);
-        let baseline = explore_all_parallel(&DvvMvrStore, &config, 1, &causal_check);
+        let baseline =
+            explore_all_parallel(&DvvMvrStore, &config, 1, &causal_check, &mut NullObserver);
         assert_eq!(baseline.schedules, sequential.schedules);
         assert_eq!(baseline.counterexample, sequential.counterexample);
         assert!(baseline.dedup_misses > 0, "units never probe their tables?");
         for threads in [2, 8] {
-            let par = explore_all_parallel(&DvvMvrStore, &config, threads, &causal_check);
+            let par = explore_all_parallel(
+                &DvvMvrStore,
+                &config,
+                threads,
+                &causal_check,
+                &mut NullObserver,
+            );
             assert_eq!(par.schedules, baseline.schedules);
             assert_eq!(par.counterexample, baseline.counterexample);
             assert_eq!(par.dedup_hits, baseline.dedup_hits, "threads={threads}");
@@ -627,7 +486,13 @@ mod tests {
             };
             let sequential = explore_all(&DvvMvrStore, &config, &mut causal_check);
             for threads in [1, 2, 8] {
-                let par = explore_all_parallel(&DvvMvrStore, &config, threads, &causal_check);
+                let par = explore_all_parallel(
+                    &DvvMvrStore,
+                    &config,
+                    threads,
+                    &causal_check,
+                    &mut NullObserver,
+                );
                 assert_eq!(
                     par.schedules, sequential.schedules,
                     "por={por} symmetry={symmetry} threads={threads}"
@@ -649,7 +514,13 @@ mod tests {
         };
         let sequential = explore_all(&BoundedStore, &config, &mut causal_check);
         for threads in [1, 4] {
-            let par = explore_all_parallel(&BoundedStore, &config, threads, &causal_check);
+            let par = explore_all_parallel(
+                &BoundedStore,
+                &config,
+                threads,
+                &causal_check,
+                &mut NullObserver,
+            );
             assert_eq!(par.schedules, sequential.schedules);
             assert_eq!(par.counterexample, sequential.counterexample);
         }
@@ -662,7 +533,7 @@ mod tests {
         let seq = explore_all_observed(&DvvMvrStore, &config, &mut causal_check, &mut seq_stats);
         for threads in [1, 3] {
             let mut par_stats = StatsObserver::new();
-            let par = explore_all_parallel_observed(
+            let par = explore_all_parallel(
                 &DvvMvrStore,
                 &config,
                 threads,
@@ -690,13 +561,8 @@ mod tests {
         let seq_snap = seq_obs.snapshot();
         for threads in [1, 2, 8] {
             let mut par_obs = StreamObserver::for_replicas(2);
-            let par = explore_all_parallel_observed(
-                &DvvMvrStore,
-                &config,
-                threads,
-                &causal_check,
-                &mut par_obs,
-            );
+            let par =
+                explore_all_parallel(&DvvMvrStore, &config, threads, &causal_check, &mut par_obs);
             assert_eq!(par.schedules, seq.schedules, "threads={threads}");
             assert_eq!(par_obs.snapshot(), seq_snap, "threads={threads}");
         }
@@ -712,95 +578,10 @@ mod tests {
         let sequential = explore_all(&DvvMvrStore, &config, &mut |_| true);
         assert_eq!(sequential.schedules, 500);
         for threads in [1, 2, 8] {
-            let par = explore_all_parallel(&DvvMvrStore, &config, threads, &|_| true);
+            let par =
+                explore_all_parallel(&DvvMvrStore, &config, threads, &|_| true, &mut NullObserver);
             assert_eq!(par.schedules, 500, "threads={threads}");
             assert_eq!(par.counterexample, None);
-        }
-    }
-
-    #[test]
-    fn family_sweep_is_thread_invariant_including_observer_stream() {
-        use crate::scenario::{explore_family_observed, heal_before_quiesce, FamilyConfig};
-
-        let family = heal_before_quiesce(SpecKind::Mvr);
-        let config = FamilyConfig::default();
-        let mut seq_stats = StatsObserver::new();
-        let sequential = explore_family_observed(
-            &DvvMvrStore,
-            &config,
-            "hbq",
-            &family,
-            &mut causal_check,
-            &mut seq_stats,
-        );
-        assert_eq!(sequential.run, 4);
-        for threads in [1, 2, 4, 9] {
-            let mut par_stats = StatsObserver::new();
-            let par = explore_family_parallel_observed(
-                &DvvMvrStore,
-                &config,
-                threads,
-                "hbq",
-                &family,
-                &causal_check,
-                &mut par_stats,
-            );
-            assert_eq!(par, sequential, "threads={threads}");
-            assert_eq!(par_stats.families(), seq_stats.families());
-        }
-
-        // The streaming observer's family tally rides the same
-        // canonical-order merge: its snapshot is thread-invariant too.
-        use crate::obs::stream::StreamObserver;
-        let mut seq_stream = StreamObserver::for_replicas(3);
-        explore_family_observed(
-            &DvvMvrStore,
-            &config,
-            "hbq",
-            &family,
-            &mut causal_check,
-            &mut seq_stream,
-        );
-        let seq_snap = seq_stream.snapshot();
-        assert_eq!(seq_snap.family_members, 4);
-        for threads in [1, 2, 8] {
-            let mut par_stream = StreamObserver::for_replicas(3);
-            explore_family_parallel_observed(
-                &DvvMvrStore,
-                &config,
-                threads,
-                "hbq",
-                &family,
-                &causal_check,
-                &mut par_stream,
-            );
-            assert_eq!(par_stream.snapshot(), seq_snap, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn family_cap_hit_accounting_is_exact_across_threads() {
-        // Regression for the cap/family interaction: when max_members lands
-        // inside the family, the enumeration prefix that runs — and the
-        // cap_hit flag — are a pure function of the config, so every thread
-        // count reports identical numbers (member granularity; compare the
-        // unit-granularity contract of max_schedules above).
-        use crate::scenario::{concurrent_write_pair, explore_family, FamilyConfig};
-
-        let family = concurrent_write_pair(SpecKind::Mvr, 3);
-        let config = FamilyConfig {
-            max_members: 4,
-            ..FamilyConfig::default()
-        };
-        let sequential = explore_family(&DvvMvrStore, &config, "cwp", &family, &mut |_| false);
-        assert_eq!(sequential.enumerated, 6);
-        assert_eq!(sequential.run, 4);
-        assert!(sequential.cap_hit);
-        assert_eq!(sequential.failures, 4, "only capped members run");
-        for threads in [1, 2, 3, 8] {
-            let par =
-                explore_family_parallel(&DvvMvrStore, &config, threads, "cwp", &family, &|_| false);
-            assert_eq!(par, sequential, "threads={threads}");
         }
     }
 
@@ -823,7 +604,7 @@ mod tests {
         // One contract, asserted in `par_map` (and up front by the explorer,
         // which may cut zero units): every entry point that takes a thread
         // count panics on 0 rather than treating it as 1.
-        use crate::scenario::{dup_storm, FamilyConfig};
+        use crate::scenario::{dup_storm, explore_family, FamilyConfig};
         use crate::service::{run_service_sweep, ServiceRunConfig};
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -836,16 +617,23 @@ mod tests {
             par_map(0, &[1u8], |_, &x| x);
         });
         rejects("explore_all_parallel", &|| {
-            explore_all_parallel(&DvvMvrStore, &ExhaustiveConfig::default(), 0, &|_| true);
+            explore_all_parallel(
+                &DvvMvrStore,
+                &ExhaustiveConfig::default(),
+                0,
+                &|_| true,
+                &mut NullObserver,
+            );
         });
-        rejects("explore_family_parallel", &|| {
-            explore_family_parallel(
+        rejects("explore_family", &|| {
+            explore_family(
                 &DvvMvrStore,
                 &FamilyConfig::default(),
                 0,
                 "dup",
                 &dup_storm(SpecKind::Mvr),
                 &|_| true,
+                &mut NullObserver,
             );
         });
         rejects("run_service_sweep", &|| {

@@ -139,32 +139,6 @@ pub fn explore_with(
     report_on(&sim, config, seed)
 }
 
-/// Samples one member of `scenario` (retrying rejected draws, see
-/// [`Scenario::sample`](crate::scenario::Scenario::sample)) and runs it
-/// through the standard witness/checker pipeline. Returns `None` when no
-/// in-depth member was found within the retry budget — e.g. an
-/// unsatisfiable family.
-///
-/// This is the random-exploration twin of
-/// [`explore_family`](crate::scenario::explore_family): the sampled
-/// member is driven by the same [`run_member`](crate::scenario::run_member)
-/// as the exhaustive sweep, so both consumers classify any shared member
-/// identically.
-pub fn explore_sampled(
-    factory: &dyn StoreFactory,
-    config: &ExplorationConfig,
-    scenario: &crate::scenario::Scenario,
-    depth: usize,
-    seed: u64,
-) -> Option<ConsistencyReport> {
-    let mut rng = haec_testkit::Rng::seed_from_u64(seed);
-    let member = scenario.sample(&mut rng, depth)?;
-    let store_config = StoreConfig::new(config.n_replicas, config.n_objects);
-    let mut sim = Simulator::new(factory, store_config);
-    crate::scenario::run_member(&mut sim, &member);
-    Some(report_on(&sim, config, seed))
-}
-
 /// Builds a report for an already-driven simulator.
 pub fn report_on(sim: &Simulator, config: &ExplorationConfig, seed: u64) -> ConsistencyReport {
     let specs = ObjectSpecs::uniform(config.spec);
@@ -272,18 +246,29 @@ mod tests {
     }
 
     #[test]
-    fn explore_sampled_draws_family_members_deterministically() {
-        use crate::scenario::{concurrent_write_pair, Scenario, ScenarioFilter};
+    fn sampled_family_members_report_deterministically() {
+        // The random-exploration twin of `explore_family`: sample one
+        // member, drive it with the sweep's own `run_member`, classify it
+        // with the standard witness/checker pipeline.
+        use crate::scenario::{concurrent_write_pair, run_member, Scenario, ScenarioFilter};
         let config = ExplorationConfig::default();
+        let sampled = |scenario: &Scenario| {
+            let member = scenario.sample(&mut haec_testkit::Rng::seed_from_u64(5), 12)?;
+            let mut sim = Simulator::new(
+                &DvvMvrStore,
+                StoreConfig::new(config.n_replicas, config.n_objects),
+            );
+            run_member(&mut sim, &member);
+            Some(report_on(&sim, &config, 5))
+        };
         let family = concurrent_write_pair(SpecKind::Mvr, 3);
-        let rep =
-            explore_sampled(&DvvMvrStore, &config, &family, 12, 5).expect("satisfiable family");
+        let rep = sampled(&family).expect("satisfiable family");
         assert!(rep.is_causally_consistent(), "{rep}");
-        let again = explore_sampled(&DvvMvrStore, &config, &family, 12, 5).unwrap();
+        let again = sampled(&family).unwrap();
         assert_eq!(rep.to_string(), again.to_string(), "same seed, same run");
-        // An unsatisfiable family yields no report.
+        // An unsatisfiable family yields no member to report on.
         let empty = Scenario::filter(ScenarioFilter::MinLen(99), Scenario::empty());
-        assert!(explore_sampled(&DvvMvrStore, &config, &empty, 12, 5).is_none());
+        assert!(sampled(&empty).is_none());
     }
 
     #[test]

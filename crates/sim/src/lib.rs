@@ -41,22 +41,21 @@ pub mod workload;
 pub use classify::{classify, grade, HIERARCHY};
 pub use convergence::check_quiescent_agreement;
 pub use exhaustive::{
-    explore_all, explore_all_observed, explore_all_parallel, explore_all_parallel_observed, shrink,
-    shrink_observed, Action, ExhaustiveConfig, ExhaustiveReport,
+    explore_all, explore_all_observed, explore_all_parallel, shrink, Action, ExhaustiveConfig,
+    ExhaustiveReport,
 };
 pub use explorer::{explore, explore_with, ConsistencyReport, ExplorationConfig};
 pub use liveness::{fair_run, fair_run_with, FairRunConfig, LivenessReport};
 pub use metrics::{measure, RunMetrics};
 pub use obs::report::{ReportConfig, RunReport};
-pub use obs::{Observer, Observers};
+pub use obs::{NullObserver, Observer, Observers};
 pub use scenario::{
-    explore_family, explore_family_observed, run_member, FamilyConfig, FamilyReport, Pat, Scenario,
-    ScenarioFilter,
+    explore_family, run_member, FamilyConfig, FamilyReport, Pat, Scenario, ScenarioFilter,
 };
 pub use scheduler::{run_schedule, DeliveryPolicy, Partition, ScheduleConfig};
 pub use service::{
     reports_json, run_service, run_service_sweep, ServicePartition, ServiceReport,
     ServiceRunConfig, ShardReport, StreamVerdicts,
 };
-pub use simulator::{FaultKind, FaultRecord, InFlight, Simulator};
+pub use simulator::{FaultKind, FaultRecord, InFlight, SimSnapshot, Simulator, StepUndo};
 pub use workload::{ClientOp, KeyDistribution, OpenLoop, Workload};

@@ -48,6 +48,7 @@ pub mod report;
 pub mod stats;
 pub mod stream;
 
+use crate::exhaustive::Action;
 use haec_model::{Dot, MsgId, ObjectId, Op, ReplicaId, ReturnValue};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -159,10 +160,11 @@ pub trait Observer {
         let _ = (step, state_bits);
     }
 
-    /// The exhaustive explorer expanded a schedule prefix of length `depth`
-    /// with `frontier` prefixes left on its stack.
-    fn on_search_node(&mut self, depth: usize, frontier: usize) {
-        let _ = (depth, frontier);
+    /// The exhaustive explorer expanded the schedule `prefix` (its depth is
+    /// `prefix.len()`) with `frontier` prefixes left on its stack. Fires in
+    /// the walker's pre-order, for the prefixes the reductions keep.
+    fn on_search_node(&mut self, prefix: &[Action], frontier: usize) {
+        let _ = (prefix, frontier);
     }
 
     /// The counterexample shrinker tried a candidate schedule of `len`
@@ -188,7 +190,7 @@ pub trait Observer {
 /// An [`Observer`] that can be split across the parallel explorer's worker
 /// threads and deterministically recombined.
 ///
-/// [`explore_all_parallel_observed`](crate::exhaustive::explore_all_parallel_observed)
+/// [`explore_all_parallel`](crate::exhaustive::explore_all_parallel)
 /// gives every work unit a fresh child created by [`fork`](Self::fork) and
 /// folds the children back into the parent with [`join`](Self::join) in
 /// **canonical subtree order** — the order the sequential DFS would have
@@ -205,9 +207,9 @@ pub trait ForkJoinObserver: Observer + Sized {
     fn join(&mut self, child: Self);
 }
 
-/// Discards every event; `fork` and `join` are trivially sound. What the
-/// un-observed exploration entry points pass to their `_observed` forms.
-pub(crate) struct NullObserver;
+/// Discards every event; `fork` and `join` are trivially sound. What a
+/// caller with nothing to observe passes to the exploration entry points.
+pub struct NullObserver;
 
 impl Observer for NullObserver {}
 
@@ -295,9 +297,9 @@ impl Observer for Observers {
             o.on_state_sample(step, state_bits);
         }
     }
-    fn on_search_node(&mut self, depth: usize, frontier: usize) {
+    fn on_search_node(&mut self, prefix: &[Action], frontier: usize) {
         for o in &mut self.list {
-            o.on_search_node(depth, frontier);
+            o.on_search_node(prefix, frontier);
         }
     }
     fn on_shrink_step(&mut self, len: usize) {
@@ -361,8 +363,8 @@ impl<O: Observer> Observer for Rc<RefCell<O>> {
     fn on_state_sample(&mut self, step: usize, state_bits: usize) {
         borrow_for_hook(self, "on_state_sample").on_state_sample(step, state_bits);
     }
-    fn on_search_node(&mut self, depth: usize, frontier: usize) {
-        borrow_for_hook(self, "on_search_node").on_search_node(depth, frontier);
+    fn on_search_node(&mut self, prefix: &[Action], frontier: usize) {
+        borrow_for_hook(self, "on_search_node").on_search_node(prefix, frontier);
     }
     fn on_shrink_step(&mut self, len: usize) {
         borrow_for_hook(self, "on_shrink_step").on_shrink_step(len);
@@ -441,7 +443,7 @@ mod tests {
         #[derive(Default)]
         struct Sum(usize);
         impl Observer for Sum {
-            fn on_search_node(&mut self, _depth: usize, _frontier: usize) {
+            fn on_search_node(&mut self, _prefix: &[Action], _frontier: usize) {
                 self.0 += 1;
             }
         }
@@ -454,11 +456,11 @@ mod tests {
             }
         }
         let mut parent = Sum::default();
-        parent.on_search_node(0, 0);
+        parent.on_search_node(&[], 0);
         let mut child = parent.fork();
         assert_eq!(child.0, 0, "fork starts empty");
-        child.on_search_node(1, 2);
-        child.on_search_node(2, 1);
+        child.on_search_node(&[Action::Deliver(0)], 2);
+        child.on_search_node(&[Action::Deliver(0), Action::Deliver(0)], 1);
         parent.join(child);
         assert_eq!(parent.0, 3);
     }
@@ -469,7 +471,7 @@ mod tests {
         n.on_quiesce(1, true);
         n.on_partition_change(0, true);
         n.on_state_sample(0, 0);
-        n.on_search_node(0, 0);
+        n.on_search_node(&[], 0);
         n.on_shrink_step(0);
         n.on_dedup_lookup(true);
         n.on_family_member("f", 0, true);

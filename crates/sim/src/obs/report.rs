@@ -567,17 +567,18 @@ mod tests {
     #[test]
     fn families_flow_through_the_search_section() {
         use crate::obs::stats::StatsObserver;
-        use crate::scenario::{concurrent_write_pair, explore_family_observed, FamilyConfig};
+        use crate::scenario::{concurrent_write_pair, explore_family, FamilyConfig};
         use haec_core::SpecKind;
 
         let mut stats = StatsObserver::new();
         let family = concurrent_write_pair(SpecKind::Mvr, 3);
-        explore_family_observed(
+        explore_family(
             &DvvMvrStore,
             &FamilyConfig::default(),
+            1,
             "cwp",
             &family,
-            &mut |_| true,
+            &|_| true,
             &mut stats,
         );
         let mut rep = RunReport::collect(&DvvMvrStore, &ReportConfig::default(), 7);

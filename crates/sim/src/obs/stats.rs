@@ -2,6 +2,7 @@
 
 use super::hist::Histogram;
 use super::{DoEvent, FaultEvent, ForkJoinObserver, Observer, ReceiveEvent, SendEvent};
+use crate::exhaustive::Action;
 use std::collections::BTreeMap;
 
 /// Per-family tallies from scenario-family sweeps
@@ -193,7 +194,7 @@ impl Observer for StatsObserver {
     fn on_state_sample(&mut self, _step: usize, state_bits: usize) {
         self.peak_state_bits = self.peak_state_bits.max(state_bits);
     }
-    fn on_search_node(&mut self, _depth: usize, frontier: usize) {
+    fn on_search_node(&mut self, _prefix: &[Action], frontier: usize) {
         self.search_nodes += 1;
         self.max_frontier = self.max_frontier.max(frontier);
     }
@@ -310,7 +311,7 @@ mod tests {
         s.on_quiesce(3, true);
         s.on_state_sample(7, 120);
         s.on_state_sample(8, 80);
-        s.on_search_node(2, 9);
+        s.on_search_node(&[], 9);
         s.on_shrink_step(4);
         s.on_dedup_lookup(true);
         s.on_dedup_lookup(true);
@@ -355,14 +356,14 @@ mod tests {
         for (obs, half) in [(&mut a, 0..3), (&mut b, 3..7)] {
             for i in half {
                 obs.on_send(&send(i, 8 * (i + 1)));
-                obs.on_search_node(i, 10 - i);
+                obs.on_search_node(&[], 10 - i);
                 obs.on_state_sample(i, 100 * i);
                 obs.on_dedup_lookup(i % 2 == 0);
             }
         }
         for i in 0..7 {
             whole.on_send(&send(i, 8 * (i + 1)));
-            whole.on_search_node(i, 10 - i);
+            whole.on_search_node(&[], 10 - i);
             whole.on_state_sample(i, 100 * i);
             whole.on_dedup_lookup(i % 2 == 0);
         }

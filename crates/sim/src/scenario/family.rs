@@ -6,17 +6,17 @@
 //! [`max_members`](FamilyConfig::max_members) cap) on a fresh simulator,
 //! classifying each with the caller's predicate. Unlike the schedule-tree
 //! DFS it is a **sweep** — it never stops at the first failure. That
-//! choice is what makes the sweep one implementation (verdicts, then a
-//! canonical-order merge) whose parallel form
-//! ([`explore_family_parallel`](crate::exhaustive::explore_family_parallel))
-//! is trivially bit-identical for every thread count: every member's
-//! verdict is computed unconditionally, the cap truncates the
+//! choice is what makes the sweep one implementation (verdicts on up to
+//! `threads` workers, then a canonical-order merge) that is trivially
+//! bit-identical for every thread count: every member's verdict is
+//! computed unconditionally on a private simulator, the cap truncates the
 //! *enumeration* (a pure function of the scenario), and the counterexample
 //! is defined as the first failing member in canonical order, not the
 //! first found.
 
 use super::{run_member, Pat, Scenario};
-use crate::obs::{NullObserver, Observer};
+use crate::exhaustive::parallel::par_map;
+use crate::obs::Observer;
 use crate::simulator::Simulator;
 use haec_model::{StoreConfig, StoreFactory};
 use std::fmt;
@@ -106,76 +106,44 @@ impl FamilyReport {
 }
 
 /// Runs every member of `scenario` (in canonical order, up to the cap)
-/// on a fresh simulator and classifies it with `check`.
+/// on a fresh simulator and classifies it with `check`: enumerate,
+/// truncate to the cap, compute one verdict per member on up to `threads`
+/// workers (`threads == 1` is the inline loop), then merge in canonical
+/// order. Observer hooks ([`Observer::on_family_member`], on the caller's
+/// `obs`), the failure count and the first failing member all come from
+/// the merge, so the report — [`cap_hit`](FamilyReport::cap_hit)
+/// accounting included — and the observer's event stream are
+/// bit-identical for every thread count.
+///
+/// The predicate is `Fn + Sync`: it is evaluated concurrently from worker
+/// threads.
 ///
 /// # Panics
 ///
-/// Panics if `config` fails [`FamilyConfig::validate`].
+/// Panics if `config` fails [`FamilyConfig::validate`] or `threads` is
+/// zero.
 pub fn explore_family(
     factory: &dyn StoreFactory,
     config: &FamilyConfig,
+    threads: usize,
     name: &str,
     scenario: &Scenario,
-    check: &mut dyn FnMut(&Simulator) -> bool,
-) -> FamilyReport {
-    explore_family_observed(factory, config, name, scenario, check, &mut NullObserver)
-}
-
-/// Like [`explore_family`], but announces every member run to `obs` via
-/// [`Observer::on_family_member`], in canonical order.
-///
-/// # Panics
-///
-/// Panics if `config` fails [`FamilyConfig::validate`].
-pub fn explore_family_observed<O: Observer>(
-    factory: &dyn StoreFactory,
-    config: &FamilyConfig,
-    name: &str,
-    scenario: &Scenario,
-    check: &mut dyn FnMut(&Simulator) -> bool,
-    obs: &mut O,
-) -> FamilyReport {
-    sweep_family(config, name, scenario, obs, |members| {
-        members
-            .iter()
-            .map(|member| member_passes(factory, config, member, check))
-            .collect()
-    })
-}
-
-/// One member's verdict: drive it on a fresh simulator, then `check`.
-pub(crate) fn member_passes(
-    factory: &dyn StoreFactory,
-    config: &FamilyConfig,
-    member: &[Pat],
-    check: &mut dyn FnMut(&Simulator) -> bool,
-) -> bool {
-    let mut sim = Simulator::new(factory, config.store_config);
-    run_member(&mut sim, member);
-    check(&sim)
-}
-
-/// The family sweep, once: enumerate, truncate to the cap, take one
-/// verdict per member from `verdicts` (computed inline here, on the worker
-/// pool by [`explore_family_parallel`](crate::exhaustive::explore_family_parallel)),
-/// then merge in canonical order. Observer hooks, the failure count and
-/// the first failing member all come from the merge, so how the verdicts
-/// were computed cannot reach the report.
-pub(crate) fn sweep_family<O: Observer>(
-    config: &FamilyConfig,
-    name: &str,
-    scenario: &Scenario,
-    obs: &mut O,
-    verdicts: impl FnOnce(&[Vec<Pat>]) -> Vec<bool>,
+    check: &(dyn Fn(&Simulator) -> bool + Sync),
+    obs: &mut dyn Observer,
 ) -> FamilyReport {
     config.validate().expect("invalid FamilyConfig");
     let members = scenario.iter_to_depth(config.depth);
     let enumerated = members.len();
     let run = enumerated.min(config.max_members);
     let to_run = &members[..run];
+    let verdicts = par_map(threads, to_run, |_, member| {
+        let mut sim = Simulator::new(factory, config.store_config);
+        run_member(&mut sim, member);
+        check(&sim)
+    });
     let mut failures = 0;
     let mut counterexample = None;
-    for (member, passed) in to_run.iter().zip(verdicts(to_run)) {
+    for (member, passed) in to_run.iter().zip(verdicts) {
         obs.on_family_member(name, member.len(), passed);
         if !passed {
             failures += 1;
@@ -199,15 +167,36 @@ mod tests {
     use super::*;
     use crate::exhaustive::tests::causal_check;
     use crate::obs::stats::StatsObserver;
-    use crate::scenario::{concurrent_write_pair, ScenarioFilter};
+    use crate::obs::stream::StreamObserver;
+    use crate::obs::NullObserver;
+    use crate::scenario::{concurrent_write_pair, heal_before_quiesce, ScenarioFilter};
     use haec_core::SpecKind;
     use haec_stores::DvvMvrStore;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The sweep on one thread with nothing observing.
+    fn sweep(
+        config: &FamilyConfig,
+        name: &str,
+        family: &Scenario,
+        check: &(dyn Fn(&Simulator) -> bool + Sync),
+    ) -> FamilyReport {
+        explore_family(
+            &DvvMvrStore,
+            config,
+            1,
+            name,
+            family,
+            check,
+            &mut NullObserver,
+        )
+    }
 
     #[test]
     fn sweep_counts_and_cap_accounting() {
         let family = concurrent_write_pair(SpecKind::Mvr, 3);
         let config = FamilyConfig::default();
-        let report = explore_family(&DvvMvrStore, &config, "cwp", &family, &mut causal_check);
+        let report = sweep(&config, "cwp", &family, &causal_check);
         assert_eq!(report.family, "cwp");
         assert_eq!(report.enumerated, 6, "3 replicas, ordered distinct pairs");
         assert_eq!(report.run, 6);
@@ -218,7 +207,7 @@ mod tests {
             max_members: 2,
             ..config
         };
-        let report = explore_family(&DvvMvrStore, &capped, "cwp", &family, &mut causal_check);
+        let report = sweep(&capped, "cwp", &family, &causal_check);
         assert_eq!(report.enumerated, 6);
         assert_eq!(report.run, 2);
         assert!(report.cap_hit);
@@ -230,18 +219,16 @@ mod tests {
         // of them (no early exit), and the counterexample is member 0.
         let family = concurrent_write_pair(SpecKind::Mvr, 3);
         let members = family.iter_to_depth(FamilyConfig::default().depth);
-        let mut seen = 0;
-        let report = explore_family(
-            &DvvMvrStore,
-            &FamilyConfig::default(),
-            "cwp",
-            &family,
-            &mut |_| {
-                seen += 1;
-                false
-            },
+        let seen = AtomicUsize::new(0);
+        let report = sweep(&FamilyConfig::default(), "cwp", &family, &|_| {
+            seen.fetch_add(1, Ordering::SeqCst);
+            false
+        });
+        assert_eq!(
+            seen.load(Ordering::SeqCst),
+            members.len(),
+            "sweep must not stop early"
         );
-        assert_eq!(seen, members.len(), "sweep must not stop early");
         assert_eq!(report.failures, members.len());
         assert_eq!(report.counterexample.as_ref(), members.first());
     }
@@ -250,12 +237,13 @@ mod tests {
     fn observer_sees_every_member_in_order() {
         let family = concurrent_write_pair(SpecKind::Mvr, 3);
         let mut stats = StatsObserver::new();
-        let report = explore_family_observed(
+        let report = explore_family(
             &DvvMvrStore,
             &FamilyConfig::default(),
+            1,
             "cwp",
             &family,
-            &mut causal_check,
+            &causal_check,
             &mut stats,
         );
         let tally = stats.families().get("cwp").expect("family recorded");
@@ -269,17 +257,80 @@ mod tests {
             ScenarioFilter::MinLen(99),
             crate::scenario::Scenario::empty(),
         );
-        let report = explore_family(
-            &DvvMvrStore,
-            &FamilyConfig::default(),
-            "empty",
-            &family,
-            &mut causal_check,
-        );
+        let report = sweep(&FamilyConfig::default(), "empty", &family, &causal_check);
         assert_eq!(report.enumerated, 0);
         assert_eq!(report.run, 0);
         assert!(!report.cap_hit);
         assert!(report.all_passed());
+    }
+
+    #[test]
+    fn family_sweep_is_thread_invariant_including_observer_stream() {
+        let family = heal_before_quiesce(SpecKind::Mvr);
+        let config = FamilyConfig::default();
+        let hbq = |threads: usize, obs: &mut dyn Observer| {
+            explore_family(
+                &DvvMvrStore,
+                &config,
+                threads,
+                "hbq",
+                &family,
+                &causal_check,
+                obs,
+            )
+        };
+        let mut seq_stats = StatsObserver::new();
+        let sequential = hbq(1, &mut seq_stats);
+        assert_eq!(sequential.run, 4);
+        for threads in [2, 4, 9] {
+            let mut par_stats = StatsObserver::new();
+            let par = hbq(threads, &mut par_stats);
+            assert_eq!(par, sequential, "threads={threads}");
+            assert_eq!(par_stats.families(), seq_stats.families());
+        }
+
+        // The streaming observer's family tally rides the same
+        // canonical-order merge: its snapshot is thread-invariant too.
+        let mut seq_stream = StreamObserver::for_replicas(3);
+        hbq(1, &mut seq_stream);
+        let seq_snap = seq_stream.snapshot();
+        assert_eq!(seq_snap.family_members, 4);
+        for threads in [2, 8] {
+            let mut par_stream = StreamObserver::for_replicas(3);
+            hbq(threads, &mut par_stream);
+            assert_eq!(par_stream.snapshot(), seq_snap, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn family_cap_hit_accounting_is_exact_across_threads() {
+        // Regression for the cap/family interaction: when max_members lands
+        // inside the family, the enumeration prefix that runs — and the
+        // cap_hit flag — are a pure function of the config, so every thread
+        // count reports identical numbers (member granularity; compare the
+        // unit-granularity contract of `ExhaustiveConfig::max_schedules`).
+        let family = concurrent_write_pair(SpecKind::Mvr, 3);
+        let config = FamilyConfig {
+            max_members: 4,
+            ..FamilyConfig::default()
+        };
+        let sequential = sweep(&config, "cwp", &family, &|_| false);
+        assert_eq!(sequential.enumerated, 6);
+        assert_eq!(sequential.run, 4);
+        assert!(sequential.cap_hit);
+        assert_eq!(sequential.failures, 4, "only capped members run");
+        for threads in [2, 3, 8] {
+            let par = explore_family(
+                &DvvMvrStore,
+                &config,
+                threads,
+                "cwp",
+                &family,
+                &|_| false,
+                &mut NullObserver,
+            );
+            assert_eq!(par, sequential, "threads={threads}");
+        }
     }
 
     #[test]

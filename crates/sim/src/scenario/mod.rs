@@ -28,13 +28,13 @@
 //!
 //! 1. [`Scenario::iter_to_depth`] enumerates every member up to a length
 //!    bound, in a **deterministic canonical order** (first occurrence in
-//!    the structural enumeration order), for the exhaustive engine's
-//!    [`explore_family`](family::explore_family) and its thread-invariant
-//!    parallel twin.
-//! 2. [`Scenario::sample`] draws one member with the seeded testkit RNG,
-//!    for the random explorer
-//!    ([`explore_sampled`](crate::explorer::explore_sampled)). Every
-//!    sample is a member of the enumerated set for the same depth.
+//!    the structural enumeration order), for the thread-invariant
+//!    family sweep [`explore_family`].
+//! 2. [`Scenario::sample`] draws one member with the seeded testkit RNG;
+//!    [`run_member`] drives it and
+//!    [`report_on`](crate::explorer::report_on) classifies it as the
+//!    random explorer would. Every sample is a member of the enumerated
+//!    set for the same depth.
 //! 3. [`prop::FamilyGen`] implements `haec_testkit::prop::Gen`: shrinking
 //!    walks the family lattice (canonical members that are strict
 //!    subsequences of the failing member), so every shrink step stays
@@ -61,10 +61,7 @@ mod fixtures;
 pub mod prop;
 mod run;
 
-pub use family::{
-    explore_family, explore_family_observed, FamilyConfig, FamilyConfigError, FamilyReport,
-};
-pub(crate) use family::{member_passes, sweep_family};
+pub use family::{explore_family, FamilyConfig, FamilyConfigError, FamilyReport};
 pub use filter::ScenarioFilter;
 pub use fixtures::{concurrent_write_pair, dup_storm, heal_before_quiesce, update_op};
 pub use run::run_member;

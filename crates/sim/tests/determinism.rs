@@ -7,7 +7,7 @@
 //! counts {1, 2, 8} for the sweep, and per shard count.
 
 use haec_sim::service::{reports_json, run_service, run_service_sweep, ServiceRunConfig};
-use haec_sim::{explore_all_parallel, ExhaustiveConfig, Simulator};
+use haec_sim::{explore_all_parallel, ExhaustiveConfig, NullObserver, Simulator};
 use haec_stores::service::ServiceConfig;
 use haec_stores::DvvMvrStore;
 
@@ -73,10 +73,10 @@ fn parallel_search_report_is_identical_across_thread_counts() {
         ..ExhaustiveConfig::default()
     };
     let check = |sim: &Simulator| sim.execution().validate().is_ok();
-    let base = explore_all_parallel(&DvvMvrStore, &cfg, 1, &check);
+    let base = explore_all_parallel(&DvvMvrStore, &cfg, 1, &check, &mut NullObserver);
     assert!(base.all_passed());
     for threads in [2usize, 8] {
-        let wide = explore_all_parallel(&DvvMvrStore, &cfg, threads, &check);
+        let wide = explore_all_parallel(&DvvMvrStore, &cfg, threads, &check, &mut NullObserver);
         assert_eq!(base.schedules, wide.schedules, "{threads} threads");
         assert_eq!(base.dedup_hits, wide.dedup_hits, "{threads} threads");
         assert_eq!(base.dedup_misses, wide.dedup_misses, "{threads} threads");

@@ -11,9 +11,10 @@ use haec_core::witness::WitnessError;
 use haec_core::{causal, check_correct, AbstractExecution, ObjectSpecs, SpecKind};
 use haec_model::{ObjectId, Op, ReplicaId, StoreConfig, StoreFactory, Value};
 use haec_sim::exhaustive::{
-    explore_all, explore_all_parallel, explore_all_replay, explore_all_traced, replay, Action,
+    explore_all, explore_all_observed, explore_all_parallel, explore_all_replay, replay, Action,
     ExhaustiveConfig,
 };
+use haec_sim::obs::{ForkJoinObserver, NullObserver, Observer};
 use haec_sim::Simulator;
 use haec_stores::{
     ArbitrationStore, BoundedStore, CausalRegisterStore, CopsStore, CounterStore, DvvMvrStore,
@@ -104,6 +105,7 @@ fn assert_engines_agree(
                 },
                 threads,
                 &check_against_sync(spec),
+                &mut NullObserver,
             );
             assert_eq!(
                 reference.schedules,
@@ -197,6 +199,7 @@ fn assert_engines_agree(
         },
         2,
         &check_against_sync(spec),
+        &mut NullObserver,
     );
     assert_eq!(
         por.schedules,
@@ -294,9 +297,13 @@ fn engines_agree_on_a_failing_predicate() {
     // The parallel engine stops at the same first counterexample and
     // counts the same number of schedules before it, at every thread count.
     for threads in [1, 2, 8] {
-        let par = explore_all_parallel(&DvvMvrStore, &config, threads, &|sim: &Simulator| {
-            !(sim.execution().events().len() >= 3 && !sim.inflight().is_empty())
-        });
+        let par = explore_all_parallel(
+            &DvvMvrStore,
+            &config,
+            threads,
+            &|sim: &Simulator| !(sim.execution().events().len() >= 3 && !sim.inflight().is_empty()),
+            &mut NullObserver,
+        );
         assert_eq!(reference.schedules, par.schedules, "threads={threads}");
         assert_eq!(
             reference.counterexample, par.counterexample,
@@ -509,6 +516,35 @@ fn canonical_trace(word: &[Sym]) -> Vec<Sym> {
     out
 }
 
+/// Collects every visited schedule prefix, in the order the observer is
+/// told: the window into the (reduced) tree. Forks empty and joins by
+/// appending, so the parallel engine's canonical-order merge rebuilds the
+/// sequential walker's pre-order.
+#[derive(Default)]
+struct Prefixes(Vec<Vec<Action>>);
+
+impl Observer for Prefixes {
+    fn on_search_node(&mut self, prefix: &[Action], _frontier: usize) {
+        self.0.push(prefix.to_vec());
+    }
+}
+
+impl ForkJoinObserver for Prefixes {
+    fn fork(&self) -> Self {
+        Prefixes::default()
+    }
+    fn join(&mut self, child: Self) {
+        self.0.extend(child.0);
+    }
+}
+
+/// The prefixes the sequential walker visits under `config`, in pre-order.
+fn visited_prefixes(config: &ExhaustiveConfig) -> Vec<Vec<Action>> {
+    let mut seen = Prefixes::default();
+    explore_all_observed(&DvvMvrStore, config, &mut |_| true, &mut seen);
+    seen.0
+}
+
 /// Brute-force soundness oracle for the sleep-set reduction: at small
 /// depths, the reduced tree must keep at least one representative of
 /// *every* Mazurkiewicz trace class the unreduced tree explores — for
@@ -518,22 +554,19 @@ fn canonical_trace(word: &[Sym]) -> Vec<Sym> {
 fn por_keeps_a_representative_of_every_trace_class() {
     for depth in [3, 4] {
         let config = register_config(depth);
-        let mut full: BTreeSet<Vec<Sym>> = BTreeSet::new();
-        let mut full_prefixes = 0usize;
-        explore_all_traced(&DvvMvrStore, &config, &mut |_| true, &mut |p| {
-            full.insert(canonical_trace(&symbolic_word(&config, p)));
-            full_prefixes += 1;
-        });
-        let por_config = ExhaustiveConfig {
+        let classes = |prefixes: &[Vec<Action>]| -> BTreeSet<Vec<Sym>> {
+            prefixes
+                .iter()
+                .map(|p| canonical_trace(&symbolic_word(&config, p)))
+                .collect()
+        };
+        let full_walk = visited_prefixes(&config);
+        let (full, full_prefixes) = (classes(&full_walk), full_walk.len());
+        let reduced_walk = visited_prefixes(&ExhaustiveConfig {
             por: true,
             ..config.clone()
-        };
-        let mut reduced: BTreeSet<Vec<Sym>> = BTreeSet::new();
-        let mut reduced_prefixes = 0usize;
-        explore_all_traced(&DvvMvrStore, &por_config, &mut |_| true, &mut |p| {
-            reduced.insert(canonical_trace(&symbolic_word(&config, p)));
-            reduced_prefixes += 1;
         });
+        let (reduced, reduced_prefixes) = (classes(&reduced_walk), reduced_walk.len());
         // Soundness: nothing new, nothing lost.
         assert!(
             reduced.is_subset(&full),
@@ -549,6 +582,36 @@ fn por_keeps_a_representative_of_every_trace_class() {
             reduced_prefixes < full_prefixes,
             "depth {depth}: sleep sets pruned nothing ({reduced_prefixes} vs {full_prefixes})"
         );
+    }
+}
+
+/// The per-node hook crosses into the parallel engine's workers: at every
+/// thread count the caller's observer is handed exactly the prefixes the
+/// sequential walker visits, in its pre-order — the prefix phase's nodes
+/// replayed from the buffer, each unit's nodes joined at the unit's
+/// canonical position — on the full tree and on the sleep-set-reduced one.
+#[test]
+fn parallel_engine_hands_the_observer_the_sequential_prefixes_in_preorder() {
+    for por in [false, true] {
+        let config = ExhaustiveConfig {
+            por,
+            ..register_config(4)
+        };
+        let sequential = visited_prefixes(&config);
+        assert_eq!(sequential.len(), if por { 230 } else { 567 });
+        for threads in [1, 2] {
+            let mut seen = Prefixes::default();
+            let par = explore_all_parallel(&DvvMvrStore, &config, threads, &|_| true, &mut seen);
+            assert_eq!(
+                par.schedules,
+                sequential.len(),
+                "por={por} threads={threads}"
+            );
+            assert!(
+                seen.0 == sequential,
+                "por={por} threads={threads}: the observer's prefixes left the sequential pre-order"
+            );
+        }
     }
 }
 
@@ -592,7 +655,8 @@ fn parallel_dedup_counters_known_answers() {
             "sequential {config:?}"
         );
         for threads in [1, 2, 8] {
-            let par = explore_all_parallel(&DvvMvrStore, &config, threads, &|_| true);
+            let par =
+                explore_all_parallel(&DvvMvrStore, &config, threads, &|_| true, &mut NullObserver);
             assert_eq!(
                 (par.schedules, par.dedup_hits, par.dedup_misses),
                 parallel,
@@ -714,29 +778,30 @@ fn pin_walk(
 ) -> PinnedWalk {
     assert_eq!(factory.name(), name);
     let mut hash = FNV_OFFSET;
-    let mut nodes = 0usize;
-    // The trace hook fires with a node's prefix just before the predicate
-    // sees the live simulator at that node.
-    let replayed = std::cell::RefCell::new(String::new());
-    explore_all_traced(
+    // The observer is told a node's prefix just before the predicate sees
+    // the live simulator at that node, so the two lists pair up by index.
+    let mut lives: Vec<String> = Vec::new();
+    let mut seen = Prefixes::default();
+    explore_all_observed(
         factory,
         config,
         &mut |sim| {
             let live = format!("{:?}", sim.abstract_execution());
-            assert_eq!(
-                live,
-                *replayed.borrow(),
-                "{name}: the walked simulator disagrees with a fresh replay"
-            );
             hash = fnv1a(hash, live.as_bytes());
-            nodes += 1;
+            lives.push(live);
             true
         },
-        &mut |prefix| {
-            *replayed.borrow_mut() =
-                format!("{:?}", replay(factory, config, prefix).abstract_execution());
-        },
+        &mut seen,
     );
+    let nodes = lives.len();
+    assert_eq!(seen.0.len(), nodes, "{name}: one prefix per predicate call");
+    for (prefix, live) in seen.0.iter().zip(&lives) {
+        assert_eq!(
+            *live,
+            format!("{:?}", replay(factory, config, prefix).abstract_execution()),
+            "{name}: the walked simulator disagrees with a fresh replay"
+        );
+    }
     let shape = config.store_config;
     (
         name,

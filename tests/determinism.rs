@@ -136,7 +136,7 @@ fn parallel_exploration_report_json_is_byte_identical_across_thread_counts() {
     // every thread count. Nothing about worker scheduling may leak into
     // the serialized output.
     use haec::sim::exhaustive::ExhaustiveConfig;
-    use haec::sim::exhaustive::{explore_all_observed, explore_all_parallel_observed};
+    use haec::sim::exhaustive::{explore_all_observed, explore_all_parallel};
     use haec::sim::obs::stats::StatsObserver;
     use haec::sim::{ReportConfig, RunReport};
 
@@ -161,13 +161,7 @@ fn parallel_exploration_report_json_is_byte_identical_across_thread_counts() {
 
     for threads in [1usize, 2, 8] {
         let mut par_stats = StatsObserver::new();
-        let par = explore_all_parallel_observed(
-            &DvvMvrStore,
-            &config,
-            threads,
-            &|_| true,
-            &mut par_stats,
-        );
+        let par = explore_all_parallel(&DvvMvrStore, &config, threads, &|_| true, &mut par_stats);
         assert_eq!(seq.schedules, par.schedules, "threads={threads}");
         let par_json = report_json(par_stats);
         assert_eq!(
@@ -185,7 +179,7 @@ fn reduced_search_json_with_dedup_counters_is_thread_invariant() {
     // the `search` section's dedup_hits / dedup_misses counters, which
     // before the level-barrier table depended on worker timing — is
     // byte-identical at thread counts 1, 2, and 8 for a fixed config.
-    use haec::sim::exhaustive::{explore_all_parallel_observed, ExhaustiveConfig};
+    use haec::sim::exhaustive::{explore_all_parallel, ExhaustiveConfig};
     use haec::sim::obs::stats::StatsObserver;
     use haec::sim::{ReportConfig, RunReport};
 
@@ -201,7 +195,7 @@ fn reduced_search_json_with_dedup_counters_is_thread_invariant() {
     let mut baseline: Option<(String, u64, u64)> = None;
     for threads in [1usize, 2, 8] {
         let mut stats = StatsObserver::new();
-        explore_all_parallel_observed(&DvvMvrStore, &config, threads, &|_| true, &mut stats);
+        explore_all_parallel(&DvvMvrStore, &config, threads, &|_| true, &mut stats);
         let (hits, misses) = (stats.dedup_hits(), stats.dedup_misses());
         let mut rep = RunReport::collect(&DvvMvrStore, &ReportConfig::default(), 7);
         rep.stats = stats;
@@ -266,6 +260,7 @@ fn parallel_counterexample_is_thread_invariant() {
     // *first* one at every thread count — which worker happened to fail
     // first may not influence which schedule is reported.
     use haec::sim::exhaustive::{explore_all, explore_all_parallel, ExhaustiveConfig};
+    use haec::sim::obs::NullObserver;
 
     fn causal_check(sim: &Simulator) -> bool {
         let Ok(a) = sim.abstract_execution() else {
@@ -286,7 +281,13 @@ fn parallel_counterexample_is_thread_invariant() {
         "bounded store must fail somewhere at depth 5"
     );
     for threads in [1usize, 2, 8] {
-        let par = explore_all_parallel(&BoundedStore, &config, threads, &causal_check);
+        let par = explore_all_parallel(
+            &BoundedStore,
+            &config,
+            threads,
+            &causal_check,
+            &mut NullObserver,
+        );
         assert_eq!(par.schedules, sequential.schedules, "threads={threads}");
         assert_eq!(
             par.counterexample, sequential.counterexample,

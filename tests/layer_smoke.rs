@@ -13,7 +13,7 @@ use haec::sim::exhaustive::{
     explore_all, explore_all_parallel, explore_all_replay, Action, ExhaustiveConfig,
     ExhaustiveReport,
 };
-use haec::sim::obs::{self, stream::StreamObserver};
+use haec::sim::obs::{self, stream::StreamObserver, NullObserver};
 use haec::sim::service::{run_service, ServiceRunConfig};
 use haec::sim::{explore_with, Simulator};
 
@@ -38,7 +38,10 @@ fn assert_engines_agree_at_depth_3(
     for (engine, report) in [
         ("dfs", explore_all(factory, &config, &mut { check })),
         ("dedup", explore_all(factory, &deduped, &mut { check })),
-        ("par-2", explore_all_parallel(factory, &deduped, 2, &check)),
+        (
+            "par-2",
+            explore_all_parallel(factory, &deduped, 2, &check, &mut NullObserver),
+        ),
     ] {
         let label = format!("{} {engine}", factory.name());
         assert_eq!(report.schedules, reference.schedules, "{label}");
@@ -116,7 +119,8 @@ fn dedup_and_symmetry_tables_keep_their_pinned_counters_at_depth_4() {
         let report = explore_all(&DvvMvrStore, &config, &mut |_| true);
         assert_eq!(counters(report), sequential, "{config:?}");
         for threads in [1, 2] {
-            let report = explore_all_parallel(&DvvMvrStore, &config, threads, &|_| true);
+            let report =
+                explore_all_parallel(&DvvMvrStore, &config, threads, &|_| true, &mut NullObserver);
             assert_eq!(counters(report), parallel, "threads={threads} {config:?}");
         }
     }

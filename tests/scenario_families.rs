@@ -6,12 +6,11 @@
 
 use haec::prelude::*;
 use haec::stores::conformance_matrix;
-use haec_sim::exhaustive::explore_family_parallel_observed;
-use haec_sim::explorer::explore_sampled;
-use haec_sim::obs::stats::StatsObserver;
+use haec_sim::explorer::report_on;
+use haec_sim::obs::{stats::StatsObserver, NullObserver};
 use haec_sim::scenario::{
-    concurrent_write_pair, dup_storm, explore_family, explore_family_observed, heal_before_quiesce,
-    member_string, prop::FamilyGen, FamilyConfig, Pat, Scenario, ScenarioFilter,
+    concurrent_write_pair, dup_storm, explore_family, heal_before_quiesce, member_string,
+    prop::FamilyGen, run_member, FamilyConfig, Pat, Scenario, ScenarioFilter,
 };
 use haec_testkit::prop::{self, u64s};
 use haec_testkit::{prop_assert, prop_assert_eq, Rng};
@@ -88,18 +87,19 @@ fn family_reports_are_identical_across_thread_counts() {
         ("hbq", heal_before_quiesce(SpecKind::Mvr)),
     ] {
         let mut seq_stats = StatsObserver::new();
-        let sequential = explore_family_observed(
+        let sequential = explore_family(
             &DvvMvrStore,
             &config,
+            1,
             name,
             &family,
-            &mut strict_causal,
+            &strict_causal,
             &mut seq_stats,
         );
         assert!(sequential.all_passed(), "{name}: dvv-mvr is causal");
-        for threads in [1, 2, 4] {
+        for threads in [2, 4] {
             let mut par_stats = StatsObserver::new();
-            let par = explore_family_parallel_observed(
+            let par = explore_family(
                 &DvvMvrStore,
                 &config,
                 threads,
@@ -235,9 +235,11 @@ fn exhaustive_and_sampled_classification_agree_across_the_matrix() {
         let report = explore_family(
             factory.as_ref(),
             &config,
+            1,
             "hbq",
             &family,
-            &mut strict_causal,
+            &strict_causal,
+            &mut NullObserver,
         );
         if !report.all_passed() {
             violators.push(factory.name().to_owned());
@@ -248,7 +250,7 @@ fn exhaustive_and_sampled_classification_agree_across_the_matrix() {
             .iter()
             .map(|member| {
                 let mut sim = Simulator::new(factory.as_ref(), config.store_config);
-                haec_sim::scenario::run_member(&mut sim, member);
+                run_member(&mut sim, member);
                 (member_string(member), strict_causal(&sim))
             })
             .collect();
@@ -263,15 +265,20 @@ fn exhaustive_and_sampled_classification_agree_across_the_matrix() {
             ..ExplorationConfig::default()
         };
         for seed in 0..4u64 {
-            let rep = explore_sampled(factory.as_ref(), &ec, &family, config.depth, seed)
-                .expect("heal-before-quiesce is satisfiable");
-            let sampled_causal = rep.abstract_execution.is_ok() && rep.causal.is_none();
-            // Reproduce the draw to learn which member this seed sampled,
-            // and require the sampled verdict to match that member's
-            // exhaustive verdict.
+            // Sample one member, drive it with the sweep's own
+            // `run_member`, classify it with the random explorer's
+            // pipeline, and require the sampled verdict to match that
+            // member's exhaustive verdict.
             let member = family
-                .sample(&mut haec_testkit::Rng::seed_from_u64(seed), config.depth)
-                .expect("same draw as explore_sampled");
+                .sample(&mut Rng::seed_from_u64(seed), config.depth)
+                .expect("heal-before-quiesce is satisfiable");
+            let mut sim = Simulator::new(
+                factory.as_ref(),
+                StoreConfig::new(ec.n_replicas, ec.n_objects),
+            );
+            run_member(&mut sim, &member);
+            let rep = report_on(&sim, &ec, seed);
+            let sampled_causal = rep.abstract_execution.is_ok() && rep.causal.is_none();
             let expected = verdicts
                 .iter()
                 .find(|(m, _)| *m == member_string(&member))
@@ -307,7 +314,7 @@ fn shrinking_a_real_counterexample_yields_the_minimal_in_family_witness() {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             prop::check_with(&config, "lww stays causal", &gen, |member| {
                 let mut sim = Simulator::new(&LwwStore, StoreConfig::new(3, 2));
-                haec_sim::scenario::run_member(&mut sim, member);
+                run_member(&mut sim, member);
                 if strict_causal(&sim) {
                     Ok(())
                 } else {

@@ -13,6 +13,7 @@ use haec::model::EventKind;
 use haec::prelude::*;
 use haec::stores::{conformance_matrix as matrix, Conformance};
 use haec_sim::check_quiescent_agreement;
+use haec_sim::obs::NullObserver;
 use haec_sim::scenario::{
     concurrent_write_pair, dup_storm, explore_family, heal_before_quiesce, FamilyConfig, Scenario,
 };
@@ -107,7 +108,7 @@ fn store_fault_conformance_matrix() {
 
 /// The same verdict logic as `check_compliance`, as a boolean for
 /// family sweeps.
-fn conformance_check(conf: Conformance) -> impl FnMut(&Simulator) -> bool {
+fn conformance_check(conf: Conformance) -> impl Fn(&Simulator) -> bool + Sync {
     move |sim| {
         let a = if conf.arbitrated {
             sim.abstract_execution_arbitrated()
@@ -141,9 +142,11 @@ fn scenario_families_classify_per_store() {
             let report = explore_family(
                 factory.as_ref(),
                 &config,
+                1,
                 name,
                 family,
-                &mut conformance_check(conf),
+                &conformance_check(conf),
+                &mut NullObserver,
             );
             assert!(
                 report.all_passed(),
@@ -157,13 +160,15 @@ fn scenario_families_classify_per_store() {
             let strict = explore_family(
                 factory.as_ref(),
                 &config,
+                1,
                 name,
                 family,
-                &mut |sim: &Simulator| {
+                &|sim: &Simulator| {
                     sim.abstract_execution()
                         .map(|a| causal::check(&a).is_ok())
                         .unwrap_or(false)
                 },
+                &mut NullObserver,
             );
             let expect_violation = *name == "heal-before-quiesce" && !conf.causal;
             assert_eq!(
