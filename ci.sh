@@ -52,6 +52,11 @@ cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 echo "== clippy (locked, offline, deny warnings) =="
 cargo clippy --workspace --locked --offline -- -D warnings
 
+echo "== rustdoc (locked, offline, deny warnings: no dangling or private intra-doc link) =="
+# A renamed or removed entry point leaves [`old_name`] links behind in
+# module docs that no compiler pass reads; rustdoc is the one that does.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked --offline
+
 echo "== haec-lint (site bans on nondeterminism sources, deny mode, self-hosting) =="
 # The linter gates the whole workspace, bench targets and its own sources
 # included. The --json report is archived, run twice, and byte-compared:

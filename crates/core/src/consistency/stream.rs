@@ -763,7 +763,7 @@ impl StreamChecker {
 
     /// Retires every pending event whose recorded predecessors are all
     /// stable (or already gone). Called automatically every
-    /// [`AUTO_SWEEP_EVERY`] stabilizations; call it explicitly at quiesce
+    /// `AUTO_SWEEP_EVERY` (32) stabilizations; call it explicitly at quiesce
     /// points to compact eagerly.
     pub fn sweep(&mut self) {
         spans::timed("stream.sweep", || {

@@ -9,7 +9,7 @@
 //!    split depth, producing (a) the prefix nodes the sequential engine
 //!    would visit, in its exact pre-order, and (b) one **work unit** per
 //!    subtree root at that depth: the action prefix, a
-//!    [`SimSnapshot`](crate::SimSnapshot) of the simulator state there,
+//!    [`SimSnapshot`] of the simulator state there,
 //!    and the frontier offset and sleep set the sequential engine would
 //!    carry into that subtree. The partition is a pure function of the
 //!    config — no thread count, no clocks.

@@ -1,9 +1,9 @@
 //! Streaming consistency checking attached to the [`Observer`] stream.
 //!
 //! [`StreamObserver`] feeds every `do` event straight into a
-//! [`StreamChecker`](haec_core::stream::StreamChecker) as the simulator
-//! runs, so verdicts and first-violation witnesses are available online —
-//! no complete transcript, no batch
+//! [`StreamChecker`] as the simulator runs, so verdicts and
+//! first-violation witnesses are available online — no complete
+//! transcript, no batch
 //! [`AbstractExecution`](haec_core::AbstractExecution) in memory. Quiesce
 //! notifications trigger retirement sweeps; the remaining hooks keep cheap
 //! activity tallies that flow into the `stream` section of the JSON

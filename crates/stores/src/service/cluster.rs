@@ -5,11 +5,11 @@
 //! [`StoreFactory`]: the keyspace is split across `n_shards` independent
 //! store instances by the consistent-hash [`ring`](super::ring), each
 //! replica node hosts one [`ReplicaMachine`] per shard, and a node's
-//! outgoing traffic can be coalesced into a single
-//! [`envelope`](super::envelope) per destination. Shards never
-//! communicate with each other — cross-shard causality is intentionally
-//! not promised (exactly the trade real sharded stores make), while
-//! causality *within* a shard is whatever the underlying store provides.
+//! outgoing traffic can be coalesced into a single [`envelope`] per
+//! destination. Shards never communicate with each other — cross-shard
+//! causality is intentionally not promised (exactly the trade real
+//! sharded stores make), while causality *within* a shard is whatever the
+//! underlying store provides.
 //!
 //! Dots, witnesses and fingerprints are all **shard-local**: each shard
 //! is its own store instance with its own dot space and its own dense

@@ -15,7 +15,7 @@
 //!   greedy shrinking, and failure-seed reporting
 //!   (`HAEC_PROP_SEED=<seed> HAEC_PROP_CASES=1` replays a reported
 //!   counterexample exactly).
-//! * [`bench`] — warmup + N timed batches, median/p95/min/mean summary,
+//! * [`mod@bench`] — warmup + N timed batches, median/p95/min/mean summary,
 //!   optional JSON output (`--json`), for `harness = false` bench
 //!   binaries driven by plain `cargo bench`.
 //!
