@@ -6,6 +6,16 @@
 //! shows, e.g., that the DVV store is causally consistent on *all*
 //! executions with ≤ N scheduler steps, not just on sampled ones.
 //!
+//! ## Entry points
+//!
+//! One per way of walking the tree, each taking what varies as an
+//! argument: [`explore_all`] (nothing observing) and
+//! [`explore_all_observed`] walk from the root on the calling thread;
+//! [`explore_all_parallel`] takes a thread count and a fork/join observer;
+//! [`explore_all_replay`] is the reference the others are tested against;
+//! [`shrink`] minimises a failing schedule. Scenario families have their
+//! own sweep, [`explore_family`](crate::scenario::explore_family).
+//!
 //! ## Engine
 //!
 //! The explorer walks the schedule tree depth-first, carrying one live
