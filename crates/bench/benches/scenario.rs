@@ -2,8 +2,8 @@
 //! families (pinned member counts), then sweep heal-before-quiesce through
 //! `explore_family` on one thread and on `--threads` with a strict causal
 //! check. The parallel sweep must reproduce the one-thread `FamilyReport`
-//! exactly before any timing is printed — this is the determinism gate the CI
-//! smoke step leans on.
+//! exactly before any timing is printed — this is the determinism gate
+//! the CI smoke step leans on.
 //!
 //! Usage:
 //!

@@ -61,9 +61,10 @@
 //!   π-related states share one memo entry. Requires `dedup`; stores that
 //!   do not implement the renaming hooks fall back to the plain
 //!   fingerprint, and the report says so
-//!   ([`ExhaustiveReport::symmetry_applied`]). Symmetry changes *which* nodes are expanded, never the
-//!   reported count: credits are count-preserving bijections, so
-//!   POR, POR+dedup and POR+dedup+symmetry all report the same count.
+//!   ([`ExhaustiveReport::symmetry_applied`]). Symmetry changes *which*
+//!   nodes are expanded, never the reported count: credits are
+//!   count-preserving bijections, so POR, POR+dedup and
+//!   POR+dedup+symmetry all report the same count.
 
 use crate::obs::{NullObserver, Observer};
 use crate::simulator::Simulator;
@@ -1419,24 +1420,17 @@ pub(crate) mod tests {
             dedup: true,
             ..ExhaustiveConfig::default()
         };
+        let symmetric = ExhaustiveConfig {
+            symmetry: true,
+            ..config.clone()
+        };
         let plain = explore_all(&LwwStore, &config, &mut |_| true);
-        let sym = explore_all(
-            &LwwStore,
-            &ExhaustiveConfig {
-                symmetry: true,
-                ..config.clone()
-            },
-            &mut |_| true,
-        );
+        let sym = explore_all(&LwwStore, &symmetric, &mut |_| true);
         assert_eq!(plain.schedules, sym.schedules);
         assert_eq!(plain.dedup_hits, sym.dedup_hits);
         assert_eq!(plain.dedup_misses, sym.dedup_misses);
         assert!(!plain.symmetry_applied, "symmetry was not asked for");
         assert!(!sym.symmetry_applied, "lww has no renaming hooks");
-        let symmetric = ExhaustiveConfig {
-            symmetry: true,
-            ..config.clone()
-        };
         assert!(explore_all(&DvvMvrStore, &symmetric, &mut |_| true).symmetry_applied);
         assert!(!explore_all(&DvvMvrStore, &config, &mut |_| true).symmetry_applied);
         // The parallel merge reports the orchestrator's probe.

@@ -8,11 +8,10 @@
 //!    buffering observer, its split hook set) walks the tree down to the
 //!    split depth, producing (a) the prefix nodes the sequential engine
 //!    would visit, in its exact pre-order, and (b) one **work unit** per
-//!    subtree root at that depth: the action prefix, a
-//!    [`SimSnapshot`] of the simulator state there,
-//!    and the frontier offset and sleep set the sequential engine would
-//!    carry into that subtree. The partition is a pure function of the
-//!    config — no thread count, no clocks.
+//!    subtree root at that depth: the action prefix, a [`SimSnapshot`]
+//!    of the simulator state there, and the frontier offset and sleep set
+//!    the sequential engine would carry into that subtree. The partition
+//!    is a pure function of the config — no thread count, no clocks.
 //! 2. **Explore.** Workers drain the unit list **level by level**: units
 //!    are chunked in canonical order into levels of `LEVEL_WIDTH`, one
 //!    `par_map` per level. Each unit is explored by the same `Dfs` on a
@@ -172,8 +171,8 @@ impl Observer for NodeLog {
 /// first counterexample).
 struct UnitResult<O> {
     report: ExhaustiveReport,
-    /// The unit's private memo — the orchestrator adds its entries to the
-    /// shared table at the next level barrier.
+    /// The unit's private memo — the orchestrator moves its entries into
+    /// the shared table at the next level barrier.
     memo: Memo,
     obs: O,
 }
@@ -318,11 +317,11 @@ pub fn explore_all_parallel<O: ForkJoinObserver + Send>(
         // write wins: the same entry two units memoised keeps the count of
         // the canonically earlier one (equal anyway, up to fingerprint
         // collisions).
-        for result in &results[start..] {
+        for result in &mut results[start..] {
             let result = result
-                .as_ref()
+                .as_mut()
                 .expect("level barrier reached an unexplored unit");
-            for (&key, &count) in &result.memo {
+            for (key, count) in std::mem::take(&mut result.memo) {
                 table.entry(key).or_insert(count);
             }
         }
