@@ -848,4 +848,15 @@ mod tests {
             .and_then(Json::as_f64)
             .is_some());
     }
+
+    /// Known answer: FNV-1a of the E12 JSON at two seeds, so the bytes of
+    /// the cost comparison are held across refactors of who meters a run.
+    #[test]
+    fn cost_rows_json_matches_its_pinned_fingerprint() {
+        let text = cost_rows_json(&cost_rows(2)).render();
+        let fnv1a = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(fnv1a, 0x7f3a8e8442dde249, "E12 JSON changed: {text}");
+    }
 }

@@ -184,3 +184,53 @@ fn seed_42_reports_are_valid_and_reproducible() {
         );
     }
 }
+
+/// FNV-1a over the report JSON: a fingerprint that does not depend on the
+/// standard library's hasher, so the literals below hold across toolchains.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Known answers: `fnv1a(to_json_normalized())` of the seed-42 report of
+/// every store — `ReportConfig::default()` with the store's own spec and
+/// history order, as the `report` binary sets them — so the bytes of the
+/// report, not only their run-to-run equality, are held across refactors
+/// of who counts what.
+#[test]
+fn seed_42_reports_match_their_pinned_fingerprints() {
+    let pinned: [(&str, u64); 11] = [
+        ("dvv-mvr", 0x340588ef13638ea7),
+        ("cops-mvr", 0x20aa411db717f12c),
+        ("causal-register", 0x526ed437d8ebe1d4),
+        ("orset", 0xd303b28068c3892a),
+        ("counter", 0xa4d4396db7b5ea59),
+        ("ew-flag", 0xe608a7f4d651d84a),
+        ("lww", 0xe532e9d2d14bf74a),
+        ("k-delayed", 0x6a82a7bb5e196da0),
+        ("arbitration-mvr", 0xe0670930f32c3691),
+        ("sequenced", 0x7e609edac7df91be),
+        ("bounded", 0x6a767e94c7660cd2),
+    ];
+    let factories = haec::stores::all_factories();
+    assert_eq!(factories.len(), pinned.len());
+    for (f, (name, want)) in factories.iter().zip(pinned) {
+        assert_eq!(f.name(), name, "store order of the pinned table");
+        let mut config = ReportConfig::default();
+        config.exploration.spec = match name {
+            "orset" => SpecKind::OrSet,
+            "ew-flag" => SpecKind::EwFlag,
+            "counter" => SpecKind::Counter,
+            "lww" | "arbitration-mvr" | "sequenced" | "causal-register" => SpecKind::LwwRegister,
+            _ => SpecKind::Mvr,
+        };
+        config.exploration.arbitrated_order = matches!(name, "lww" | "arbitration-mvr");
+        let json = RunReport::collect(f.as_ref(), &config, 42).to_json_normalized();
+        assert_eq!(
+            fnv1a(json.as_bytes()),
+            want,
+            "{name}: report changed: {json}"
+        );
+    }
+}
