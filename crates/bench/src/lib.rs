@@ -537,7 +537,7 @@ impl CostRow {
 /// E12 data — per-store mean cost metrics over `seeds` runs of the same
 /// workload.
 pub fn cost_rows(seeds: u64) -> Vec<CostRow> {
-    use haec_sim::measure;
+    use haec_sim::obs::{shared, stats::StatsObserver};
     let stores: Vec<(Box<dyn StoreFactory>, SpecKind)> = vec![
         (Box::new(DvvMvrStore), SpecKind::Mvr),
         (Box::new(haec_stores::CopsStore), SpecKind::Mvr),
@@ -554,6 +554,8 @@ pub fn cost_rows(seeds: u64) -> Vec<CostRow> {
         let mut acc = (0f64, 0f64, 0f64, 0f64, 0f64, 0f64);
         for seed in 0..seeds {
             let mut sim = Simulator::new(factory.as_ref(), StoreConfig::new(4, 2));
+            let stats = shared(StatsObserver::new());
+            sim.attach_observer(Box::new(stats.clone()));
             let mut wl = Workload::new(spec, 4, 2, 0.3, KeyDistribution::Uniform);
             let sched = ScheduleConfig {
                 steps: 300,
@@ -561,13 +563,14 @@ pub fn cost_rows(seeds: u64) -> Vec<CostRow> {
                 ..ScheduleConfig::default()
             };
             run_schedule(&mut sim, &mut wl, &sched, seed);
-            let m = measure(&sim);
-            acc.0 += m.sends as f64;
-            acc.1 += m.receives as f64;
-            acc.2 += m.avg_message_bits();
+            let m = stats.borrow();
+            let final_state_bits = sim.total_state_bits();
+            acc.0 += m.sends() as f64;
+            acc.1 += m.receives() as f64;
+            acc.2 += m.message_bits().mean();
             acc.3 += m.bits_per_update();
-            acc.4 += m.final_state_bits as f64;
-            acc.5 += m.peak_state_bits as f64;
+            acc.4 += final_state_bits as f64;
+            acc.5 += m.peak_state_bits().max(final_state_bits) as f64;
         }
         let n = seeds as f64;
         rows.push(CostRow {

@@ -29,7 +29,6 @@ pub mod convergence;
 pub mod exhaustive;
 pub mod explorer;
 pub mod liveness;
-pub mod metrics;
 pub mod obs;
 pub mod scenario;
 pub mod scheduler;
@@ -46,13 +45,12 @@ pub use exhaustive::{
 };
 pub use explorer::{explore, explore_with, ConsistencyReport, ExplorationConfig};
 pub use liveness::{fair_run, fair_run_with, FairRunConfig, LivenessReport};
-pub use metrics::{measure, RunMetrics};
 pub use obs::report::{ReportConfig, RunReport};
 pub use obs::{NullObserver, Observer, Observers};
 pub use scenario::{
     explore_family, run_member, FamilyConfig, FamilyReport, Pat, Scenario, ScenarioFilter,
 };
-pub use scheduler::{run_schedule, DeliveryPolicy, Partition, ScheduleConfig};
+pub use scheduler::{run_schedule, Partition, ScheduleConfig};
 pub use service::{
     reports_json, run_service, run_service_sweep, ServicePartition, ServiceReport,
     ServiceRunConfig, ShardReport, StreamVerdicts,

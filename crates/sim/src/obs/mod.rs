@@ -12,8 +12,9 @@
 //!
 //! - [`hist::Histogram`] — log2-bucketed value histograms;
 //! - [`log::EventLog`] — a bounded structured event log (ring buffer);
-//! - [`stats::StatsObserver`] — event counters, message-size and
-//!   delivery-latency histograms, peak state size, search statistics;
+//! - [`stats::StatsObserver`] — the run's cost meter: event counters,
+//!   message-size and delivery-latency histograms, bits per update, peak
+//!   state size, search statistics;
 //! - [`lag::LagObserver`] — per-update visibility lag and read staleness;
 //! - [`stream::StreamObserver`] — online consistency checking (causal,
 //!   eventual, session guarantees) with stability-driven event GC;
@@ -154,8 +155,8 @@ pub trait Observer {
         let _ = (rounds, reached);
     }
 
-    /// The cluster's total encoded state size was sampled after a mutating
-    /// event.
+    /// The cluster's total encoded state size after a mutating event. The
+    /// simulator sizes the machines only when an observer is attached.
     fn on_state_sample(&mut self, step: usize, state_bits: usize) {
         let _ = (step, state_bits);
     }

@@ -17,7 +17,6 @@
 //! values so two reports from the same seed compare byte-identical.
 
 use crate::explorer::{report_on, ExplorationConfig};
-use crate::metrics::{measure, RunMetrics};
 use crate::obs::hist::Histogram;
 use crate::obs::json::Json;
 use crate::obs::lag::LagObserver;
@@ -68,10 +67,10 @@ pub struct RunReport {
     pub store: String,
     /// Seed of the schedule.
     pub seed: u64,
-    /// Event counters and network-cost histograms.
+    /// The run's cost meter: event counters, message bits, peak state.
     pub stats: StatsObserver,
-    /// Classic cost metrics (message bits, state bits).
-    pub metrics: RunMetrics,
+    /// Replica state size (bits) summed over replicas at the end.
+    pub final_state_bits: usize,
     /// Per-update visibility lag histogram.
     pub visibility_lag: Histogram,
     /// Per-read staleness histogram.
@@ -138,7 +137,6 @@ impl RunReport {
             run_schedule(&mut sim, &mut workload, &ec.schedule, seed);
             report_on(&sim, ec, seed)
         });
-        let metrics = measure(&sim);
         let stats = stats.borrow().clone();
         let lag = lag.borrow();
         let log = log.borrow();
@@ -147,7 +145,7 @@ impl RunReport {
             store: sim.store_name().to_owned(),
             seed,
             stats,
-            metrics,
+            final_state_bits: sim.total_state_bits(),
             visibility_lag: lag.visibility_lag().clone(),
             read_staleness: lag.read_staleness().clone(),
             pending_observations: lag.pending_observations(),
@@ -163,6 +161,12 @@ impl RunReport {
             log_total: log.total_seen(),
             log_dropped: log.dropped(),
         }
+    }
+
+    /// Largest summed replica state (bits) over the run: the meter's peak
+    /// over the samples, or the final size where that is larger.
+    fn peak_state_bits(&self) -> usize {
+        self.stats.peak_state_bits().max(self.final_state_bits)
     }
 
     /// The report as a JSON tree. `zero_ns` replaces the nondeterministic
@@ -204,15 +208,15 @@ impl RunReport {
                 Json::Obj(vec![
                     (
                         "total_bits".into(),
-                        Json::Int(self.metrics.total_message_bits as i128),
+                        Json::Int(self.stats.message_bits().sum() as i128),
                     ),
                     (
                         "max_bits".into(),
-                        Json::Int(self.metrics.max_message_bits as i128),
+                        Json::uint(self.stats.message_bits().max().unwrap_or(0)),
                     ),
                     (
                         "bits_per_update".into(),
-                        Json::Float(self.metrics.bits_per_update()),
+                        Json::Float(self.stats.bits_per_update()),
                     ),
                     ("size_hist".into(), hist_json(self.stats.message_bits())),
                 ]),
@@ -234,11 +238,11 @@ impl RunReport {
                 Json::Obj(vec![
                     (
                         "final_bits".into(),
-                        Json::Int(self.metrics.final_state_bits as i128),
+                        Json::Int(self.final_state_bits as i128),
                     ),
                     (
                         "peak_bits".into(),
-                        Json::Int(self.metrics.peak_state_bits as i128),
+                        Json::Int(self.peak_state_bits() as i128),
                     ),
                 ]),
             ),
@@ -434,8 +438,8 @@ impl fmt::Display for RunReport {
         writeln!(
             f,
             "  messages:   {} total bits, {:.1} bits/update, sizes {}",
-            self.metrics.total_message_bits,
-            self.metrics.bits_per_update(),
+            self.stats.message_bits().sum(),
+            self.stats.bits_per_update(),
             self.stats.message_bits()
         )?;
         writeln!(f, "  latency:    {}", self.stats.delivery_latency())?;
@@ -448,7 +452,8 @@ impl fmt::Display for RunReport {
         writeln!(
             f,
             "  state bits: {} final, {} peak",
-            self.metrics.final_state_bits, self.metrics.peak_state_bits
+            self.final_state_bits,
+            self.peak_state_bits()
         )?;
         writeln!(
             f,
@@ -494,10 +499,8 @@ mod tests {
     fn collect_produces_consistent_counts() {
         let rep = RunReport::collect(&DvvMvrStore, &ReportConfig::default(), 7);
         assert_eq!(rep.store, "dvv-mvr");
-        assert_eq!(rep.stats.do_events() as usize, rep.metrics.do_events);
-        assert_eq!(rep.stats.sends() as usize, rep.metrics.sends);
-        assert_eq!(rep.stats.receives() as usize, rep.metrics.receives);
-        assert_eq!(rep.stats.message_bits().count(), rep.metrics.sends as u64);
+        assert_eq!(rep.stats.message_bits().count(), rep.stats.sends());
+        assert!(rep.peak_state_bits() >= rep.final_state_bits);
         assert!(rep.witness_ok);
         assert!(rep.correct.is_none() && rep.causal.is_none());
         assert!(!rep.spans.is_empty(), "checkers must be span-timed");

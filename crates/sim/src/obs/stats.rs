@@ -1,4 +1,11 @@
-//! Event counters and network-cost histograms.
+//! Event counters and network-cost histograms: the run's cost meter.
+//!
+//! The paper's lower bounds are about inherent *costs* — message bits,
+//! replica state. [`StatsObserver`] is where a run's costs are counted, so
+//! stores can be compared like systems in an evaluation section: attach it
+//! before the schedule and read sends, receives, total / largest / mean
+//! message bits, bits per update and peak state afterwards. A simulator
+//! with no observer attached measures nothing.
 
 use super::hist::Histogram;
 use super::{DoEvent, FaultEvent, ForkJoinObserver, Observer, ReceiveEvent, SendEvent};
@@ -112,9 +119,20 @@ impl StatsObserver {
         &self.delivery_latency
     }
 
-    /// Largest total encoded replica state (bits) seen in any sample.
+    /// Largest total encoded replica state (bits) seen in any sample —
+    /// state that was later garbage-collected still counts.
     pub fn peak_state_bits(&self) -> usize {
         self.peak_state_bits
+    }
+
+    /// Total message bits divided by update count — the propagation cost
+    /// per update (0 if no updates).
+    pub fn bits_per_update(&self) -> f64 {
+        if self.updates == 0 {
+            0.0
+        } else {
+            self.message_bits.sum() as f64 / self.updates as f64
+        }
     }
 
     /// Schedule prefixes expanded by the exhaustive explorer.
@@ -260,7 +278,117 @@ impl ForkJoinObserver for StatsObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use haec_model::{MsgId, ObjectId, Op, ReplicaId, ReturnValue, Value};
+    use crate::obs::shared;
+    use crate::{run_schedule, KeyDistribution, ScheduleConfig, Simulator, Workload};
+    use haec_core::SpecKind;
+    use haec_model::{
+        EventKind, MsgId, ObjectId, Op, ReplicaId, ReturnValue, StoreConfig, StoreFactory, Value,
+    };
+    use haec_stores::{CopsStore, DvvMvrStore};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// A fresh cluster with the meter attached from the first event.
+    fn metered(
+        factory: &dyn StoreFactory,
+        config: StoreConfig,
+    ) -> (Simulator, Rc<RefCell<StatsObserver>>) {
+        let stats = shared(StatsObserver::new());
+        let mut sim = Simulator::new(factory, config);
+        sim.attach_observer(Box::new(stats.clone()));
+        (sim, stats)
+    }
+
+    #[test]
+    fn counts_agree_with_the_transcript() {
+        let (mut sim, stats) = metered(&DvvMvrStore, StoreConfig::new(2, 1));
+        {
+            let s = stats.borrow();
+            assert_eq!((s.do_events(), s.sends(), s.receives()), (0, 0, 0));
+            assert_eq!(s.message_bits().sum(), 0);
+            assert_eq!(s.message_bits().mean(), 0.0);
+            assert_eq!(s.bits_per_update(), 0.0);
+        }
+        sim.do_op(
+            ReplicaId::new(0),
+            ObjectId::new(0),
+            Op::Write(Value::new(1)),
+        );
+        sim.flush(ReplicaId::new(0));
+        sim.deliver_all();
+        sim.read(ReplicaId::new(1), ObjectId::new(0));
+        let s = stats.borrow();
+        let ex = sim.execution();
+        let count = |f: fn(&EventKind) -> bool| ex.events().iter().filter(|e| f(&e.kind)).count();
+        assert_eq!(
+            s.do_events() as usize,
+            count(|k| matches!(k, EventKind::Do { .. }))
+        );
+        assert_eq!(
+            s.sends() as usize,
+            count(|k| matches!(k, EventKind::Send { .. }))
+        );
+        assert_eq!(
+            s.receives() as usize,
+            count(|k| matches!(k, EventKind::Receive { .. }))
+        );
+        assert_eq!((s.do_events(), s.updates(), s.reads()), (2, 1, 1));
+        assert_eq!((s.sends(), s.receives()), (1, 1));
+        let bits = ex.message(MsgId::new(0)).payload.bits() as u64;
+        assert!(bits > 0);
+        assert_eq!(s.message_bits().sum(), u128::from(bits));
+        assert_eq!(s.message_bits().max(), Some(bits));
+        assert_eq!(s.bits_per_update(), bits as f64);
+        // The last sample is the final state: an empty version vector
+        // still occupies a few canonical bits.
+        assert!(s.peak_state_bits() >= sim.total_state_bits());
+        assert!(sim.total_state_bits() > 0);
+    }
+
+    #[test]
+    fn peak_state_bits_sees_transient_growth() {
+        let (mut sim, stats) = metered(&DvvMvrStore, StoreConfig::new(2, 1));
+        // Grow the outbox without flushing, then drain it: the peak must
+        // remember the pre-flush high-water mark.
+        for i in 0..10 {
+            sim.do_op(
+                ReplicaId::new(0),
+                ObjectId::new(0),
+                Op::Write(Value::new(i)),
+            );
+        }
+        let before_flush = sim.total_state_bits();
+        sim.flush(ReplicaId::new(0));
+        sim.deliver_all();
+        assert!(stats.borrow().peak_state_bits() >= before_flush);
+        assert!(stats.borrow().peak_state_bits() >= sim.total_state_bits());
+    }
+
+    #[test]
+    fn cops_cheaper_per_update_than_dvv_on_batchy_workloads() {
+        // Low flush weight → big batches → dependency compression pays.
+        let sched = ScheduleConfig {
+            steps: 300,
+            op_weight: 8,
+            flush_weight: 1,
+            deliver_weight: 4,
+            drop_prob: 0.0,
+            ..ScheduleConfig::default()
+        };
+        let run = |factory: &dyn StoreFactory| {
+            let (mut sim, stats) = metered(factory, StoreConfig::new(4, 2));
+            let mut wl = Workload::new(SpecKind::Mvr, 4, 2, 0.2, KeyDistribution::Uniform);
+            run_schedule(&mut sim, &mut wl, &sched, 5);
+            let per_update = stats.borrow().bits_per_update();
+            per_update
+        };
+        let dvv = run(&DvvMvrStore);
+        let cops = run(&CopsStore);
+        assert!(
+            cops < dvv,
+            "compression should pay on batches: cops {cops:.1} vs dvv {dvv:.1}"
+        );
+    }
 
     #[test]
     fn counters_track_each_hook() {

@@ -81,7 +81,6 @@ pub struct SimSnapshot {
     inflight: Vec<InFlight>,
     update_seq: Vec<u32>,
     faults: Vec<FaultRecord>,
-    peak_state_bits: usize,
 }
 
 impl std::fmt::Debug for SimSnapshot {
@@ -113,7 +112,6 @@ pub struct StepUndo {
     messages_len: usize,
     witnesses_len: usize,
     faults_len: usize,
-    peak_state_bits: usize,
 }
 
 impl std::fmt::Debug for StepUndo {
@@ -141,7 +139,6 @@ pub struct Simulator {
     /// 1-based update counts per replica, for assigning dots to updates.
     update_seq: Vec<u32>,
     faults: Vec<FaultRecord>,
-    peak_state_bits: usize,
     obs: Observers,
 }
 
@@ -175,7 +172,6 @@ impl Simulator {
             inflight: Vec::new(),
             update_seq: vec![0; config.n_replicas],
             faults: Vec::new(),
-            peak_state_bits: 0,
             obs: Observers::new(),
         }
     }
@@ -220,7 +216,6 @@ impl Simulator {
             inflight: self.inflight.clone(),
             update_seq: self.update_seq.clone(),
             faults: self.faults.clone(),
-            peak_state_bits: self.peak_state_bits,
         }
     }
 
@@ -241,7 +236,6 @@ impl Simulator {
         self.inflight = snap.inflight.clone();
         self.update_seq = snap.update_seq.clone();
         self.faults = snap.faults.clone();
-        self.peak_state_bits = snap.peak_state_bits;
     }
 
     /// Captures undo information for one upcoming transition that will
@@ -266,7 +260,6 @@ impl Simulator {
             messages_len: self.execution.messages().len(),
             witnesses_len: self.witnesses.len(),
             faults_len: self.faults.len(),
-            peak_state_bits: self.peak_state_bits,
         }
     }
 
@@ -290,7 +283,6 @@ impl Simulator {
         self.log.truncate(undo.witnesses_len);
         self.timestamps.truncate(undo.witnesses_len);
         self.faults.truncate(undo.faults_len);
-        self.peak_state_bits = undo.peak_state_bits;
     }
 
     /// The store's name.
@@ -310,21 +302,17 @@ impl Simulator {
         self.machines.iter().map(|m| m.state_bits()).sum()
     }
 
-    /// The largest [`total_state_bits`](Self::total_state_bits) sampled
-    /// after any mutating event so far.
-    pub fn peak_state_bits(&self) -> usize {
-        self.peak_state_bits
-    }
-
     /// The recorded network faults and partition transitions, in order.
     pub fn faults(&self) -> &[FaultRecord] {
         &self.faults
     }
 
+    /// Reports the total state size to the attached observers after a
+    /// mutating event. With none attached nobody reads it, so the machines
+    /// are not asked.
     fn sample_state(&mut self) {
-        let bits = self.total_state_bits();
-        self.peak_state_bits = self.peak_state_bits.max(bits);
         if !self.obs.is_empty() {
+            let bits = self.total_state_bits();
             self.obs.on_state_sample(self.execution.len(), bits);
         }
     }

@@ -10,12 +10,14 @@ use haec::core::stream::{StreamChecker, StreamConfig};
 use haec::core::witness::{abstract_from_witness, abstract_from_witness_ordered, DoWitness};
 use haec::prelude::*;
 use haec::sim::exhaustive::{
-    explore_all, explore_all_parallel, explore_all_replay, Action, ExhaustiveConfig,
-    ExhaustiveReport,
+    explore_all, explore_all_observed, explore_all_parallel, explore_all_replay, Action,
+    ExhaustiveConfig, ExhaustiveReport,
 };
-use haec::sim::obs::{self, stream::StreamObserver, NullObserver};
+use haec::sim::obs::{self, stats::StatsObserver, stream::StreamObserver, NullObserver, Observer};
 use haec::sim::service::{run_service, ServiceRunConfig};
 use haec::sim::{explore_with, Simulator};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Replay, dfs, dedup and par-2 on the default cluster at depth 3: the
 /// same 111 schedules and the same first counterexample under `check`,
@@ -124,6 +126,107 @@ fn dedup_and_symmetry_tables_keep_their_pinned_counters_at_depth_4() {
             assert_eq!(counters(report), parallel, "threads={threads} {config:?}");
         }
     }
+}
+
+/// `DvvMvrStore` whose machines count the `state_bits()` calls made on
+/// them; every other method forwards.
+struct SizedStore(Arc<AtomicUsize>);
+
+struct SizedMachine(Box<dyn ReplicaMachine>, Arc<AtomicUsize>);
+
+impl StoreFactory for SizedStore {
+    fn spawn(&self, replica: ReplicaId, config: StoreConfig) -> Box<dyn ReplicaMachine> {
+        Box::new(SizedMachine(
+            DvvMvrStore.spawn(replica, config),
+            self.0.clone(),
+        ))
+    }
+    fn name(&self) -> &str {
+        DvvMvrStore.name()
+    }
+}
+
+impl ReplicaMachine for SizedMachine {
+    fn do_op(&mut self, obj: ObjectId, op: &Op) -> haec::model::DoOutcome {
+        self.0.do_op(obj, op)
+    }
+    fn pending_message(&self) -> Option<Payload> {
+        self.0.pending_message()
+    }
+    fn on_send(&mut self) {
+        self.0.on_send();
+    }
+    fn on_receive(&mut self, payload: &Payload) {
+        self.0.on_receive(payload);
+    }
+    fn state_fingerprint(&self) -> u64 {
+        self.0.state_fingerprint()
+    }
+    fn boxed_clone(&self) -> Box<dyn ReplicaMachine> {
+        Box::new(SizedMachine(self.0.boxed_clone(), self.1.clone()))
+    }
+    fn state_bits(&self) -> usize {
+        self.1.fetch_add(1, Ordering::SeqCst);
+        self.0.state_bits()
+    }
+}
+
+/// The prefixes a walk visits, in order.
+struct Visited(Vec<Vec<Action>>);
+
+impl Observer for Visited {
+    fn on_search_node(&mut self, prefix: &[Action], _frontier: usize) {
+        self.0.push(prefix.to_vec());
+    }
+}
+
+#[test]
+fn an_unobserved_simulator_never_sizes_its_machines() {
+    // Replica state is metered by whoever listens (`StatsObserver`), not by
+    // the simulator: the exhaustive walker attaches nothing to the cluster
+    // it steps, so it must not pay for a `state_bits()` per machine per
+    // node, and it must walk the tree it walks on the bare store.
+    let config = ExhaustiveConfig {
+        depth: 3,
+        max_schedules: usize::MAX,
+        dedup: true,
+        ..ExhaustiveConfig::default()
+    };
+    let calls = Arc::new(AtomicUsize::new(0));
+    let sized = SizedStore(calls.clone());
+    let counters = |r: ExhaustiveReport| (r.schedules, r.dedup_hits, r.dedup_misses);
+    let bare = counters(explore_all(&DvvMvrStore, &config, &mut |_| true));
+    assert_eq!(counters(explore_all(&sized, &config, &mut |_| true)), bare);
+    let mut visited = Visited(Vec::new());
+    let observed = explore_all_observed(&sized, &config, &mut |_| true, &mut visited);
+    assert_eq!(counters(observed), bare);
+    assert_eq!(calls.load(Ordering::SeqCst), 0, "nobody listens");
+
+    // The same walk with a listener: every visited prefix stepped through
+    // a metered cluster takes one sample — one call per machine — after
+    // each do, send and receive, and none otherwise.
+    let n = config.store_config.n_replicas;
+    let mut events = 0;
+    for prefix in &visited.0 {
+        let stats = obs::shared(StatsObserver::new());
+        let mut sim = Simulator::new(&sized, config.store_config);
+        sim.attach_observer(Box::new(stats.clone()));
+        for action in prefix {
+            match action {
+                Action::Do(replica, obj, op) => drop(sim.do_op(*replica, *obj, op.clone())),
+                Action::Flush(replica) => drop(sim.flush(*replica)),
+                Action::Deliver(i) => drop(sim.deliver(*i)),
+            }
+        }
+        let stats = stats.borrow();
+        assert_eq!(
+            (stats.do_events() + stats.sends() + stats.receives()) as usize,
+            sim.execution().len()
+        );
+        events += sim.execution().len();
+        assert_eq!(calls.load(Ordering::SeqCst), n * events, "{prefix:?}");
+    }
+    assert!(events > 0);
 }
 
 #[test]
