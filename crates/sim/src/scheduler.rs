@@ -35,18 +35,6 @@ impl Partition {
     }
 }
 
-/// How the scheduler picks which in-flight copy to deliver.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum DeliveryPolicy {
-    /// Oldest copy first, with `reorder_prob` chance of a random pick.
-    #[default]
-    MostlyFifo,
-    /// Always the oldest deliverable copy (an orderly network).
-    Fifo,
-    /// Always the *newest* deliverable copy (maximally reordering).
-    Lifo,
-}
-
 /// Scheduler configuration.
 #[derive(Clone, Debug)]
 pub struct ScheduleConfig {
@@ -58,11 +46,6 @@ pub struct ScheduleConfig {
     pub flush_weight: u32,
     /// Relative weight of delivery actions.
     pub deliver_weight: u32,
-    /// Probability that a delivery picks a random copy (reordering) rather
-    /// than the oldest. Only used by [`DeliveryPolicy::MostlyFifo`].
-    pub reorder_prob: f64,
-    /// Delivery-order policy.
-    pub delivery: DeliveryPolicy,
     /// Probability of dropping instead of delivering.
     pub drop_prob: f64,
     /// Probability of duplicating a copy before delivering it.
@@ -80,8 +63,6 @@ impl Default for ScheduleConfig {
             op_weight: 4,
             flush_weight: 3,
             deliver_weight: 5,
-            reorder_prob: 0.5,
-            delivery: DeliveryPolicy::MostlyFifo,
             drop_prob: 0.05,
             dup_prob: 0.05,
             partition: None,
@@ -139,16 +120,12 @@ pub fn run_schedule(
             if candidates.is_empty() {
                 continue;
             }
-            let i = match config.delivery {
-                DeliveryPolicy::Fifo => candidates[0],
-                DeliveryPolicy::Lifo => *candidates.last().expect("non-empty"),
-                DeliveryPolicy::MostlyFifo => {
-                    if rng.gen_bool(config.reorder_prob) {
-                        candidates[rng.gen_range(0..candidates.len())]
-                    } else {
-                        candidates[0]
-                    }
-                }
+            // Mostly FIFO: the oldest deliverable copy, or with an even
+            // chance a random one (reordering).
+            let i = if rng.gen_bool(0.5) {
+                candidates[rng.gen_range(0..candidates.len())]
+            } else {
+                candidates[0]
             };
             if rng.gen_bool(config.drop_prob) {
                 sim.drop_inflight(i);
@@ -235,56 +212,6 @@ mod tests {
                 assert!(!cross, "event {i} crossed the partition");
             }
         }
-    }
-
-    #[test]
-    fn lifo_policy_reverses_delivery_order() {
-        // Two messages from R0; LIFO delivers the newer one first.
-        let mut sim = Simulator::new(&DvvMvrStore, StoreConfig::new(2, 1));
-        let r0 = ReplicaId::new(0);
-        sim.do_op(
-            r0,
-            ObjectId::new(0),
-            haec_model::Op::Write(haec_model::Value::new(1)),
-        );
-        sim.flush(r0);
-        sim.do_op(
-            r0,
-            ObjectId::new(0),
-            haec_model::Op::Write(haec_model::Value::new(2)),
-        );
-        sim.flush(r0);
-        let mut wl = Workload::new(SpecKind::Mvr, 2, 1, 1.0, KeyDistribution::Uniform);
-        let cfg = ScheduleConfig {
-            steps: 8,
-            op_weight: 0,
-            flush_weight: 0,
-            deliver_weight: 1,
-            delivery: DeliveryPolicy::Lifo,
-            drop_prob: 0.0,
-            dup_prob: 0.0,
-            quiesce_at_end: false,
-            ..ScheduleConfig::default()
-        };
-        run_schedule(&mut sim, &mut wl, &cfg, 1);
-        // Both eventually delivered; receives of m1 precede... LIFO means
-        // the copy of the *second* message is delivered first.
-        let receives: Vec<usize> = sim
-            .execution()
-            .events()
-            .iter()
-            .filter_map(|e| match e.kind {
-                haec_model::EventKind::Receive { msg } => Some(msg.index()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(receives, vec![1, 0], "LIFO delivers newest first");
-        // The causal store buffers the out-of-order update; the final state
-        // is still correct.
-        assert_eq!(
-            sim.read(ReplicaId::new(1), ObjectId::new(0)),
-            haec_model::ReturnValue::values([haec_model::Value::new(2)])
-        );
     }
 
     #[test]
