@@ -89,19 +89,6 @@ impl Relation {
         self.row(i)
     }
 
-    /// Tests `successors(i) ⊆ successors(j)` word-parallel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` or `j` is out of range.
-    pub fn row_is_subset(&self, i: usize, j: usize) -> bool {
-        assert!(i < self.n && j < self.n, "rows ({i},{j}) out of range");
-        self.row(i)
-            .iter()
-            .zip(self.row(j))
-            .all(|(a, b)| a & !b == 0)
-    }
-
     /// Bitwise-ORs a row-shaped word slice into row `i` — the word-parallel
     /// form of inserting every `(i, j)` with bit `j` set in `words`.
     ///

@@ -47,13 +47,11 @@
 //! in-scope filter may declare a hole-free prefix
 //! [`dead`](ScenarioFilter::dead) — no extension within the remaining
 //! length budget can ever satisfy it — and the whole subtree is skipped.
-//! The AST-level rewrite [`Scenario::pushdown`] additionally distributes
-//! `Filter` over `Choice` and flattens nested `Seq`/`Choice`; both
-//! transformations preserve the member set *and* the canonical order
-//! exactly (pinned by tests). Unlike enumo's term setting, pushing a
-//! filter through `Plug` is unsound here — a spliced fragment that fails
-//! a filter can still be part of a passing whole — so `Plug` is a
-//! pushdown barrier.
+//! Pruning preserves the member set *and* the canonical order exactly
+//! (pinned by tests). Unlike enumo's term setting, pushing a filter
+//! through `Plug` is unsound here — a spliced fragment that fails a
+//! filter can still be part of a passing whole — so `Plug` is a pushdown
+//! barrier.
 
 mod family;
 mod filter;
@@ -380,61 +378,6 @@ impl Scenario {
             }
         }
     }
-
-    /// The always-sound AST rewrites: distribute `Filter` over `Choice`,
-    /// flatten nested `Seq`/`Choice`, and collapse singleton wrappers.
-    /// Preserves the member set and the canonical enumeration order
-    /// exactly — `pushdown().iter_to_depth(d) == iter_to_depth(d)` for
-    /// every depth (pinned by a property test). `Plug` is a barrier: a
-    /// fragment failing a filter can still be part of a passing whole,
-    /// so no filter moves through it.
-    pub fn pushdown(&self) -> Scenario {
-        match self {
-            Scenario::Atom(p) => Scenario::Atom(p.clone()),
-            Scenario::Seq(parts) => {
-                let mut flat = Vec::new();
-                for part in parts {
-                    match part.pushdown() {
-                        Scenario::Seq(inner) => flat.extend(inner),
-                        other => flat.push(other),
-                    }
-                }
-                if flat.len() == 1 {
-                    flat.pop().expect("len checked")
-                } else {
-                    Scenario::Seq(flat)
-                }
-            }
-            Scenario::Choice(options) => {
-                let mut flat = Vec::new();
-                for opt in options {
-                    match opt.pushdown() {
-                        Scenario::Choice(inner) => flat.extend(inner),
-                        other => flat.push(other),
-                    }
-                }
-                if flat.len() == 1 {
-                    flat.pop().expect("len checked")
-                } else {
-                    Scenario::Choice(flat)
-                }
-            }
-            Scenario::Plug(outer, name, inner) => Scenario::Plug(
-                Box::new(outer.pushdown()),
-                name.clone(),
-                Box::new(inner.pushdown()),
-            ),
-            Scenario::Filter(f, inner) => match inner.pushdown() {
-                Scenario::Choice(options) => Scenario::Choice(
-                    options
-                        .into_iter()
-                        .map(|opt| Scenario::Filter(f.clone(), Box::new(opt)))
-                        .collect(),
-                ),
-                other => Scenario::Filter(f.clone(), Box::new(other)),
-            },
-        }
-    }
 }
 
 /// Whether a hole-free partial member is dead under any in-scope filter.
@@ -559,30 +502,6 @@ mod tests {
             Scenario::seq(vec![Scenario::atom(op(0)), Scenario::atom(op(1))]),
         );
         assert!(s.iter_to_depth(5).is_empty());
-    }
-
-    #[test]
-    fn pushdown_rewrite_preserves_members_and_order() {
-        let nested = Scenario::filter(
-            ScenarioFilter::MinLen(2),
-            Scenario::choice(vec![
-                Scenario::seq(vec![
-                    Scenario::atom(op(0)),
-                    Scenario::seq(vec![Scenario::atom(op(1)), Scenario::atom(op(2))]),
-                ]),
-                Scenario::choice(vec![atoms(&[op(2)]), atoms(&[op(2), op(0)])]),
-            ]),
-        );
-        let rewritten = nested.pushdown();
-        for depth in 0..5 {
-            assert_eq!(
-                nested.iter_to_depth(depth),
-                rewritten.iter_to_depth(depth),
-                "depth {depth}"
-            );
-        }
-        // The rewrite actually distributed the filter over the choice.
-        assert!(matches!(rewritten, Scenario::Choice(_)));
     }
 
     #[test]

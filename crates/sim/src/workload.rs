@@ -31,7 +31,6 @@ pub struct Workload {
     n_replicas: usize,
     n_objects: usize,
     read_ratio: f64,
-    keys: KeyDistribution,
     /// Cumulative integer weights for key sampling: object `i` owns the
     /// half-open weight interval `[cumulative[i-1], cumulative[i])`.
     cumulative: Vec<u64>,
@@ -74,16 +73,10 @@ impl Workload {
             n_replicas,
             n_objects,
             read_ratio,
-            keys,
             cumulative,
             next_value: 0,
             element_pool: 8,
         }
-    }
-
-    /// The key distribution in use.
-    pub fn key_distribution(&self) -> KeyDistribution {
-        self.keys
     }
 
     /// Number of objects in the keyspace.

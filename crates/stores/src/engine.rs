@@ -251,11 +251,6 @@ impl CausalEngine {
         Some(batch::encode_batch(&self.outbox, self.config))
     }
 
-    /// Size in bits of the pending message, if any.
-    pub fn pending_bits(&self) -> usize {
-        self.pending_message().map_or(0, |p| p.bits())
-    }
-
     /// Marks the outbox broadcast: after a `send` nothing is pending.
     ///
     /// # Panics

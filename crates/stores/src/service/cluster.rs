@@ -93,11 +93,6 @@ impl ServiceCluster {
         (shard, out)
     }
 
-    /// The pending message of one shard at one replica, if any.
-    pub fn pending_shard(&self, replica: ReplicaId, shard: usize) -> Option<Payload> {
-        self.nodes[replica.index()][shard].pending_message()
-    }
-
     /// Flushes one shard at one replica: takes its pending message (and
     /// marks it sent), or `None` when nothing is pending.
     pub fn flush_shard(&mut self, replica: ReplicaId, shard: usize) -> Option<Payload> {
