@@ -129,4 +129,10 @@ for src in crates/*/src; do
 done
 printf '%-16s %6d\n' workspace "$total"
 
+echo "== pub fns nobody names (informational, gates nothing: a pub fn under crates/*/src whose name occurs exactly once in crates src tests examples perfbench/src — its own definition; the list the no-caller audits start from, and it misses a name that is also defined or mentioned elsewhere) =="
+find crates src tests examples perfbench/src -name '*.rs' -exec cat {} + |
+    tr -cs 'A-Za-z0-9_' '\n' | sort | uniq -c | awk '$1 == 1 { print $2 }' > target/named-once
+grep -rnoE 'pub fn [A-Za-z0-9_]+' crates/*/src |
+    awk -F'pub fn ' 'NR == FNR { once[$1]; next } $2 in once' target/named-once -
+
 echo "ci: ok"

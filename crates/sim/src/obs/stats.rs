@@ -379,8 +379,8 @@ mod tests {
             let (mut sim, stats) = metered(factory, StoreConfig::new(4, 2));
             let mut wl = Workload::new(SpecKind::Mvr, 4, 2, 0.2, KeyDistribution::Uniform);
             run_schedule(&mut sim, &mut wl, &sched, 5);
-            let per_update = stats.borrow().bits_per_update();
-            per_update
+            let stats = stats.borrow();
+            stats.bits_per_update()
         };
         let dvv = run(&DvvMvrStore);
         let cops = run(&CopsStore);

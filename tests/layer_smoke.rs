@@ -213,9 +213,15 @@ fn an_unobserved_simulator_never_sizes_its_machines() {
         sim.attach_observer(Box::new(stats.clone()));
         for action in prefix {
             match action {
-                Action::Do(replica, obj, op) => drop(sim.do_op(*replica, *obj, op.clone())),
-                Action::Flush(replica) => drop(sim.flush(*replica)),
-                Action::Deliver(i) => drop(sim.deliver(*i)),
+                Action::Do(replica, obj, op) => {
+                    sim.do_op(*replica, *obj, op.clone());
+                }
+                Action::Flush(replica) => {
+                    sim.flush(*replica);
+                }
+                Action::Deliver(i) => {
+                    sim.deliver(*i);
+                }
             }
         }
         let stats = stats.borrow();
