@@ -293,6 +293,82 @@ fn streaming_verdicts_match_the_batch_checkers_on_one_faulty_run() {
     assert_eq!(checker.sessions(), sessions::check_all(&a));
 }
 
+/// A seeded feed of delta witnesses over three replicas and two objects:
+/// each event runs at a random replica and is an update with probability
+/// 0.6, and names the foreign dots issued at least 16 events earlier that
+/// its replica has not named yet. Every 40th update is never delivered.
+fn lossy_delta_feed(seed: u64, events: usize) -> Vec<(ReplicaId, ObjectId, bool, Vec<Dot>)> {
+    const N: usize = 3;
+    const LAG: usize = 16;
+    let mut rng = haec_testkit::Rng::seed_from_u64(seed);
+    // Delivered dots with their issue event, in issue order, and how far
+    // each replica has named them.
+    let mut delivered: Vec<(usize, Dot)> = Vec::new();
+    let mut cursor = [0usize; N];
+    let mut issued = [0u32; N];
+    let mut updates = 0usize;
+    let mut feed = Vec::with_capacity(events);
+    for t in 0..events {
+        let r = rng.gen_range(0..N);
+        let replica = ReplicaId::new(r as u32);
+        let mut visible = Vec::new();
+        while cursor[r] < delivered.len() && delivered[cursor[r]].0 + LAG <= t {
+            let d = delivered[cursor[r]].1;
+            if d.replica != replica {
+                visible.push(d);
+            }
+            cursor[r] += 1;
+        }
+        let is_update = rng.gen_bool(0.6);
+        if is_update {
+            issued[r] += 1;
+            updates += 1;
+            if !updates.is_multiple_of(40) {
+                delivered.push((t, Dot::new(replica, issued[r])));
+            }
+        }
+        let obj = ObjectId::new(rng.gen_range(0..2u32));
+        feed.push((replica, obj, is_update, visible));
+    }
+    feed
+}
+
+#[test]
+fn streaming_checker_keeps_its_pinned_per_push_stats_on_a_lossy_feed() {
+    // One case of `stream_differential`'s per-push statistics pins: the
+    // live, pending, retired and forced counts, their peaks and the byte
+    // estimate after every push, exact and with a 64-event window. An
+    // event that retires a push early or late changes the hash even where
+    // the feed ends the same.
+    let feed = lossy_delta_feed(0x5EED_0040, 2000);
+    for (gc_window, want) in [(None, 0xa22bdd7c50d2a70b), (Some(64), 0xe924ec0aca5e9e41)] {
+        let mut checker = StreamChecker::new(StreamConfig {
+            n_replicas: 3,
+            window: 32,
+            gc_window,
+        })
+        .expect("valid stream config");
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for (replica, obj, is_update, visible) in &feed {
+            checker
+                .push(*replica, *obj, *is_update, visible)
+                .expect("valid push");
+            for b in format!("{:?}", checker.stats()).bytes() {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(
+            checker.stats().forced_retired > 0,
+            gc_window.is_some(),
+            "{gc_window:?}"
+        );
+        assert_eq!(
+            hash, want,
+            "{gc_window:?}: some push changed its statistics"
+        );
+    }
+}
+
 #[test]
 fn streaming_checker_pins_the_first_witnesses_of_a_lost_update() {
     // R0 writes (event 0), reads (1), writes again (2); R1 sees both
