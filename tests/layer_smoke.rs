@@ -95,7 +95,8 @@ fn dedup_and_symmetry_tables_keep_their_pinned_counters_at_depth_4() {
     // The sequential triples of `explore_differential`'s
     // `parallel_dedup_counters_known_answers` (dvv-mvr, 3 replicas × 2
     // objects, register ops, always-true predicate): the dedup table's
-    // hits and misses, and under `symmetry` the canonical fingerprints the
+    // hits and misses, under `por` alone the plain key folded with the
+    // sleep-set digest, and under `symmetry` the canonical fingerprints the
     // payload-renaming cache feeds it, as exact counts. The parallel
     // triples of the same test pin the cross-unit table the orchestrator
     // fills between levels, identical at 1 and 2 threads.
@@ -108,6 +109,10 @@ fn dedup_and_symmetry_tables_keep_their_pinned_counters_at_depth_4() {
         por: false,
         symmetry: false,
     };
+    let por = ExhaustiveConfig {
+        por: true,
+        ..dedup.clone()
+    };
     let reduced = ExhaustiveConfig {
         por: true,
         symmetry: true,
@@ -115,6 +120,7 @@ fn dedup_and_symmetry_tables_keep_their_pinned_counters_at_depth_4() {
     };
     let counters = |r: ExhaustiveReport| (r.schedules, r.dedup_hits, r.dedup_misses);
     for (config, sequential, parallel) in [
+        (por, (6185, 814, 1862), (6185, 1330, 3228)),
         (reduced, (6185, 902, 1474), (6185, 1418, 2934)),
         (dedup, (28123, 2774, 4594), (28123, 5631, 8468)),
     ] {
