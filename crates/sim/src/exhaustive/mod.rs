@@ -74,7 +74,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
+mod memo;
 pub mod parallel;
+
+use memo::Memo;
 
 pub use parallel::explore_all_parallel;
 
@@ -364,11 +367,6 @@ pub fn explore_all_observed(
     dfs.report()
 }
 
-/// `(global fingerprint, remaining depth)` → schedules in the
-/// fully-explored passing subtree rooted there. The walker's private memo
-/// and the parallel engine's cross-unit table are both one of these.
-type Memo = BTreeMap<(u64, usize), usize>;
-
 /// The incremental depth-first explorer — the only tree walker: one live
 /// simulator walked along the current branch, one per-step undo per edge.
 /// The sequential engine runs it from the root; the parallel orchestrator
@@ -386,11 +384,19 @@ struct Dfs<'a> {
     queued: usize,
     /// Subtrees this walk has fully explored.
     memo: Memo,
+    /// One sleep-set scratch per prefix length, reused by every node at
+    /// that depth (empty with POR off).
+    levels: Vec<Level>,
     /// Per-replica state fingerprints, kept in sync with the live simulator
     /// so each dedup probe re-hashes only the machine the action touched.
     fps: Vec<u64>,
     /// Cached [`inflight_fingerprint`], refreshed only after flush/deliver.
     inflight_fp: u64,
+    /// [`payload_content_hash`] of each transcript message, by message id:
+    /// extended after a flush, truncated with the transcript on undo, so
+    /// a payload is hashed once however many sleep sets name it. Kept only
+    /// under POR with dedup, the one configuration whose keys read it.
+    msg_hashes: Vec<u64>,
     /// Symmetry caches; `Some` only when [`symmetry_applies`].
     sym: Option<Symmetry>,
     /// Shared cross-unit dedup table (parallel engine only). Probed
@@ -501,34 +507,69 @@ fn independent(a: SleepKey, b: SleepKey) -> bool {
     sleep_replica(a) != sleep_replica(b)
 }
 
+/// A node's sleep-set bookkeeping, kept per depth in [`Dfs::levels`] so
+/// that no node or child edge allocates once the buffers have grown.
+#[derive(Default)]
+struct Level {
+    /// The kept children's stable keys, in child order.
+    keys: Vec<SleepKey>,
+    /// Keys of the children explored so far, sorted.
+    done: Vec<SleepKey>,
+    /// The sleep set of the child being explored.
+    child: Vec<SleepKey>,
+}
+
 /// Prunes the sleeping children of a node in place (no-op with POR off)
-/// and returns the kept children's stable keys. `sleep` must be sorted.
+/// and writes the kept children's stable keys to `keys`, in child order.
+/// `sleep` must be sorted.
 fn reduce_children(
     config: &ExhaustiveConfig,
     sim: &Simulator,
     children: &mut Vec<Action>,
     sleep: &[SleepKey],
-) -> Vec<SleepKey> {
+    keys: &mut Vec<SleepKey>,
+) {
+    keys.clear();
     if !config.por {
-        return Vec::new();
+        return;
     }
-    children.retain(|a| sleep.binary_search(&sleep_key(config, sim, a)).is_err());
-    children.iter().map(|a| sleep_key(config, sim, a)).collect()
+    children.retain(|a| {
+        let key = sleep_key(config, sim, a);
+        let awake = sleep.binary_search(&key).is_err();
+        if awake {
+            keys.push(key);
+        }
+        awake
+    });
 }
 
-/// The sleep set a child edge inherits: everything sleeping or already
-/// explored at the parent that is independent of the edge's action —
-/// those subtrees need only be explored on one side of the commutation.
-/// Sorted, so the child can filter by binary search.
-fn child_sleep(sleep: &[SleepKey], done: &[SleepKey], action: SleepKey) -> Vec<SleepKey> {
-    let mut z: Vec<SleepKey> = sleep
+/// The sleep set a child edge inherits, written to `out`: everything
+/// sleeping or already explored at the parent that is independent of the
+/// edge's action — those subtrees need only be explored on one side of
+/// the commutation. `sleep` and `done` are sorted and disjoint (a sleeping
+/// child is never explored), so one merge keeps `out` sorted for the
+/// child's binary searches.
+fn child_sleep(sleep: &[SleepKey], done: &[SleepKey], action: SleepKey, out: &mut Vec<SleepKey>) {
+    out.clear();
+    let mut sleep = sleep
         .iter()
-        .chain(done.iter())
         .copied()
         .filter(|&b| independent(b, action))
-        .collect();
-    z.sort_unstable();
-    z
+        .peekable();
+    let mut done = done
+        .iter()
+        .copied()
+        .filter(|&b| independent(b, action))
+        .peekable();
+    loop {
+        let next = match (sleep.peek(), done.peek()) {
+            (Some(s), Some(d)) if s < d => sleep.next(),
+            (_, Some(_)) => done.next(),
+            (Some(_), None) => sleep.next(),
+            (None, None) => return,
+        };
+        out.extend(next);
+    }
 }
 
 /// Content hash of a payload — the branch-stable stand-in for a message id
@@ -540,55 +581,38 @@ fn payload_content_hash(p: &haec_model::Payload) -> u64 {
     h.finish()
 }
 
-/// Branch-stable per-entry hashes of a sleep set, sorted so accumulation
-/// order cancels out: replica ids pass through `replica` (the identity, or
-/// a symmetry renaming) and `Deliver` entries hash addressee +
-/// `payload(msg)` (a payload *content* fingerprint, plain or renamed)
-/// instead of the message id.
-fn sleep_entry_hashes(
+/// splitmix64's finaliser: one fixed bijective 64-bit mix.
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The branch-stable digest of a sleep set for the POR dedup key: the
+/// wrapping sum of one [`mix64`] per entry, so entry order cancels out
+/// without a sort and the sum needs no buffer. Replica ids pass through
+/// `replica` (the identity, or a symmetry renaming), and a `Deliver` entry
+/// mixes its addressee with `payload(msg)` — a payload *content*
+/// fingerprint, plain or renamed — instead of the message id. Entry words
+/// carry a kind tag in their top two bits; `Do` fields are packed 21/21/20
+/// bits wide, exact for every config the explorer can walk.
+fn sleep_digest(
     sleep: &[SleepKey],
     replica: impl Fn(u32) -> u32,
     payload: impl Fn(MsgId) -> u64,
-) -> Vec<u64> {
-    let mut entries: Vec<u64> = sleep
-        .iter()
-        .map(|k| {
-            let mut eh = DefaultHasher::new();
-            match *k {
-                SleepKey::Do(r, o, op) => {
-                    0u8.hash(&mut eh);
-                    (replica(r), o, op).hash(&mut eh);
-                }
-                SleepKey::Flush(r) => {
-                    1u8.hash(&mut eh);
-                    replica(r).hash(&mut eh);
-                }
-                SleepKey::Deliver(m, to) => {
-                    2u8.hash(&mut eh);
-                    replica(to).hash(&mut eh);
-                    payload(m).hash(&mut eh);
-                }
+) -> u64 {
+    sleep.iter().fold(0u64, |sum, key| {
+        let word = match *key {
+            SleepKey::Do(r, o, op) => {
+                u64::from(replica(r)) | u64::from(o) << 21 | u64::from(op) << 42
             }
-            eh.finish()
-        })
-        .collect();
-    entries.sort_unstable();
-    entries
-}
-
-/// Hash of a sleep set for the POR dedup key. Two nodes with equal global
-/// fingerprint and equal sleep hash filter the same child multiset and
-/// therefore root equally-sized subtrees, which is what makes memoised
-/// counts reusable under POR.
-fn sleep_set_hash(sim: &Simulator, sleep: &[SleepKey]) -> u64 {
-    let entries = sleep_entry_hashes(
-        sleep,
-        |r| r,
-        |m| payload_content_hash(&sim.execution().message(m).payload),
-    );
-    let mut h = DefaultHasher::new();
-    entries.hash(&mut h);
-    h.finish()
+            SleepKey::Flush(r) => 1 << 62 | u64::from(replica(r)),
+            SleepKey::Deliver(m, to) => payload(m).wrapping_add(
+                (2 << 62 | u64::from(replica(to))).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ),
+        };
+        sum.wrapping_add(mix64(word))
+    })
 }
 
 /// All permutations of `0..n` in lexicographic order (so index 0 is the
@@ -735,7 +759,8 @@ impl Symmetry {
     /// renamed sleep set). The state vector under π places machine `old`'s
     /// renamed fingerprint at position `π(old)`, so π-related global
     /// states — and their π-related sleep contexts — collapse to one key.
-    fn canonical_key(&self, sim: &Simulator, sleep: &[SleepKey]) -> u64 {
+    /// `msg_hashes` is the walker's [`Dfs::msg_hashes`].
+    fn canonical_key(&self, msg_hashes: &[u64], sleep: &[SleepKey]) -> u64 {
         let n = self.pinvs[0].len();
         let mut best = u64::MAX;
         for (p, perm) in self.perms.iter().enumerate() {
@@ -744,13 +769,12 @@ impl Symmetry {
                 self.ren_fps[p][self.pinvs[p][j] as usize].hash(&mut h);
             }
             self.ren_inflight[p].hash(&mut h);
-            sleep_entry_hashes(
+            sleep_digest(
                 sleep,
                 |r| perm[r as usize],
                 |m| {
-                    let ck = payload_content_hash(&sim.execution().message(m).payload);
                     self.payload_cache
-                        .get(&ck)
+                        .get(&msg_hashes[m.index()])
                         .expect("sleeping message was in flight, hence cached")[p]
                 },
             )
@@ -772,7 +796,7 @@ impl<'a> Dfs<'a> {
         check: &'a mut dyn FnMut(&Simulator) -> bool,
         obs: &'a mut dyn Observer,
     ) -> Dfs<'a> {
-        Dfs {
+        let mut dfs = Dfs {
             config,
             check,
             obs,
@@ -780,11 +804,13 @@ impl<'a> Dfs<'a> {
             counterexample: None,
             prefix: Vec::new(),
             queued: 1,
-            memo: BTreeMap::new(),
+            memo: Memo::default(),
+            levels: (0..config.depth).map(|_| Level::default()).collect(),
             fps: (0..config.store_config.n_replicas)
                 .map(|r| sim.machine(ReplicaId::new(r as u32)).state_fingerprint())
                 .collect(),
             inflight_fp: inflight_fingerprint(sim),
+            msg_hashes: Vec::new(),
             sym: symmetry_applies(config, sim).then(|| Symmetry::new(sim, config)),
             shared: None,
             split: usize::MAX,
@@ -792,6 +818,18 @@ impl<'a> Dfs<'a> {
             hits: 0,
             misses: 0,
             done: false,
+        };
+        dfs.sync_msg_hashes(sim);
+        dfs
+    }
+
+    /// Hashes the messages the transcript gained since the last call into
+    /// [`msg_hashes`](Self::msg_hashes) (POR with dedup only).
+    fn sync_msg_hashes(&mut self, sim: &Simulator) {
+        if self.config.por && self.config.dedup {
+            let new = &sim.execution().messages()[self.msg_hashes.len()..];
+            self.msg_hashes
+                .extend(new.iter().map(|m| payload_content_hash(&m.payload)));
         }
     }
 
@@ -808,19 +846,18 @@ impl<'a> Dfs<'a> {
 
     /// The dedup key of the current state in its sleep context. With
     /// symmetry: the canonical (minimum-over-renamings) key. Without:
-    /// the plain global fingerprint, folded with the sleep-set hash when
-    /// POR is on (so a memoised count is only reused where the same child
-    /// multiset is filtered).
-    fn dedup_key(&self, sim: &Simulator, sleep: &[SleepKey]) -> u64 {
+    /// the plain global fingerprint, folded with the mixed
+    /// [`sleep_digest`] when POR is on. Two nodes with equal global
+    /// fingerprint and equal digest filter the same child multiset and so
+    /// root equally-sized subtrees, which is what makes memoised counts
+    /// reusable under POR.
+    fn dedup_key(&self, sleep: &[SleepKey]) -> u64 {
         if let Some(sym) = &self.sym {
-            return sym.canonical_key(sim, sleep);
+            return sym.canonical_key(&self.msg_hashes, sleep);
         }
         let g = global_fingerprint(&self.fps, self.inflight_fp);
         if self.config.por {
-            let mut h = DefaultHasher::new();
-            g.hash(&mut h);
-            sleep_set_hash(sim, sleep).hash(&mut h);
-            h.finish()
+            g ^ mix64(sleep_digest(sleep, |r| r, |m| self.msg_hashes[m.index()]))
         } else {
             g
         }
@@ -862,22 +899,24 @@ impl<'a> Dfs<'a> {
             return 1;
         }
         let mut children = children(self.config, sim);
+        // This depth's buffers, lent to this node until it returns; the
+        // children use the next depth's.
+        let depth = self.prefix.len();
+        let mut level = std::mem::take(&mut self.levels[depth]);
         // Sleeping actions are pruned before they count toward the
         // frontier: their subtrees are commutations of ones an explored
         // sibling already covers.
-        let keys = reduce_children(self.config, sim, &mut children, sleep);
+        reduce_children(self.config, sim, &mut children, sleep, &mut level.keys);
+        level.done.clear();
         self.queued += children.len();
-        let mut done_keys: Vec<SleepKey> = Vec::new();
         let mut count = 1usize;
         for (ci, action) in children.into_iter().enumerate() {
             if self.done {
                 break;
             }
-            let child_sleep: Vec<SleepKey> = if self.config.por {
-                child_sleep(sleep, &done_keys, keys[ci])
-            } else {
-                Vec::new()
-            };
+            if self.config.por {
+                child_sleep(sleep, &level.done, level.keys[ci], &mut level.child);
+            }
             // Each explorer action mutates exactly one replica's machine,
             // so a per-step undo (one machine clone, moved back afterwards)
             // beats a full snapshot of the whole cluster.
@@ -891,6 +930,7 @@ impl<'a> Dfs<'a> {
                 self.fps[touched.index()] = sim.machine(touched).state_fingerprint();
                 if saves_inflight {
                     self.inflight_fp = inflight_fingerprint(sim);
+                    self.sync_msg_hashes(sim);
                 }
                 if let Some(sym) = self.sym.as_mut() {
                     saved_sym = Some((
@@ -905,15 +945,12 @@ impl<'a> Dfs<'a> {
             }
             self.prefix.push(action);
             if self.config.dedup {
-                let key = (
-                    self.dedup_key(sim, &child_sleep),
-                    self.config.depth - self.prefix.len(),
-                );
+                let fp = self.dedup_key(&level.child);
+                let left = self.config.depth - self.prefix.len();
                 let cached = self
                     .memo
-                    .get(&key)
-                    .or_else(|| self.shared.and_then(|table| table.get(&key)))
-                    .copied();
+                    .get(fp, left)
+                    .or_else(|| self.shared.and_then(|table| table.get(fp, left)));
                 if let Some(sub) = cached {
                     self.hits += 1;
                     self.obs.on_dedup_lookup(true);
@@ -926,14 +963,14 @@ impl<'a> Dfs<'a> {
                 } else {
                     self.misses += 1;
                     self.obs.on_dedup_lookup(false);
-                    let sub = self.visit(sim, &child_sleep);
+                    let sub = self.visit(sim, &level.child);
                     if !self.done {
-                        self.memo.insert(key, sub);
+                        self.memo.insert(fp, left, sub);
                     }
                     count += sub;
                 }
             } else {
-                count += self.visit(sim, &child_sleep);
+                count += self.visit(sim, &level.child);
             }
             self.prefix.pop();
             self.fps[touched.index()] = saved_fp;
@@ -945,10 +982,14 @@ impl<'a> Dfs<'a> {
                 sym.ren_inflight = infl;
             }
             sim.undo_step(undo);
+            self.msg_hashes.truncate(sim.execution().messages().len());
             if self.config.por {
-                done_keys.push(keys[ci]);
+                let key = level.keys[ci];
+                let at = level.done.binary_search(&key).unwrap_or_else(|at| at);
+                level.done.insert(at, key);
             }
         }
+        self.levels[depth] = level;
         count
     }
 }

@@ -18,8 +18,8 @@
 //!    private [`Simulator`] rebuilt from the snapshot, with a private memo
 //!    table, a forked ([`ForkJoinObserver::fork`]) observer — and, with
 //!    dedup on, a **shared cross-unit dedup table** that workers probe
-//!    *read-only*: an ordered map of the walker's own memo type, owned by
-//!    the orchestrator and lent `&` to each level's workers. Between
+//!    *read-only*: the walker's own memo type, a flat fingerprint table,
+//!    owned by the orchestrator and lent `&` to each level's workers. Between
 //!    levels — `par_map`'s scoped threads have joined, so no reader
 //!    exists — the orchestrator adds every completed unit's memo entries
 //!    to it, in canonical unit order, first write wins, so the table a
@@ -274,7 +274,7 @@ pub fn explore_all_parallel<O: ForkJoinObserver + Send>(
     // it is written only below, between levels, when `par_map` has
     // returned and its scoped threads are gone. Empty, and never probed,
     // with dedup off.
-    let mut table = Memo::new();
+    let mut table = Memo::default();
     let earliest_cex = AtomicUsize::new(usize::MAX);
     let mut results: Vec<Option<UnitResult<O>>> = Vec::with_capacity(work.len());
     for level in work.chunks(LEVEL_WIDTH) {
@@ -313,16 +313,17 @@ pub fn explore_all_parallel<O: ForkJoinObserver + Send>(
         if earliest_cex.load(Ordering::SeqCst) < results.len() {
             break;
         }
-        // Canonical unit order, BTree key order within a unit, first
-        // write wins: the same entry two units memoised keeps the count of
-        // the canonically earlier one (equal anyway, up to fingerprint
-        // collisions).
+        // Canonical unit order, first write wins: the same entry two
+        // units memoised keeps the count of the canonically earlier one
+        // (equal anyway, up to fingerprint collisions). A unit's own keys
+        // are distinct, so the order its table yields them in decides
+        // nothing.
         for result in &mut results[start..] {
             let result = result
                 .as_mut()
                 .expect("level barrier reached an unexplored unit");
-            for (key, count) in std::mem::take(&mut result.memo) {
-                table.entry(key).or_insert(count);
+            for (fp, left, count) in std::mem::take(&mut result.memo).iter() {
+                table.insert(fp, left, count);
             }
         }
     }

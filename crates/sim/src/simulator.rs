@@ -399,8 +399,7 @@ impl Simulator {
     /// Panics if `i` is out of range.
     pub fn deliver(&mut self, i: usize) -> usize {
         let InFlight { msg, to } = self.inflight.remove(i);
-        let payload = self.execution.message(msg).payload.clone();
-        self.machines[to.index()].on_receive(&payload);
+        self.machines[to.index()].on_receive(&self.execution.message(msg).payload);
         let ix = self
             .execution
             .push_receive(to, msg)
@@ -410,7 +409,7 @@ impl Simulator {
                 step: ix,
                 replica: to,
                 msg,
-                bits: payload.bits(),
+                bits: self.execution.message(msg).payload.bits(),
                 send_step: self.execution.message(msg).send_index,
             });
         }
