@@ -93,9 +93,14 @@ pub(crate) struct Memo {
 }
 
 impl Memo {
+    /// Where `depth`'s table is in `depths`, or where it would go.
+    fn table(&self, depth: usize) -> Result<usize, usize> {
+        self.depths.binary_search_by_key(&depth, |d| d.0)
+    }
+
     /// The part `fp` lives in at `depth`, if that depth has a table.
     fn part(&self, fp: u64, depth: usize) -> Option<&Part> {
-        let at = self.depths.binary_search_by_key(&depth, |d| d.0).ok()?;
+        let at = self.table(depth).ok()?;
         Some(&self.depths[at].1[(fp >> (64 - PART_BITS)) as usize])
     }
 
@@ -113,7 +118,7 @@ impl Memo {
     /// slot.
     pub(crate) fn insert(&mut self, fp: u64, depth: usize, count: usize) {
         assert!(count > 0, "a memoised subtree holds at least its root");
-        let at = match self.depths.binary_search_by_key(&depth, |d| d.0) {
+        let at = match self.table(depth) {
             Ok(at) => at,
             Err(at) => {
                 let parts = (0..PARTS).map(|_| Part::default()).collect();
