@@ -607,9 +607,10 @@ fn sleep_digest(
                 u64::from(replica(r)) | u64::from(o) << 21 | u64::from(op) << 42
             }
             SleepKey::Flush(r) => 1 << 62 | u64::from(replica(r)),
-            SleepKey::Deliver(m, to) => payload(m).wrapping_add(
-                (2 << 62 | u64::from(replica(to))).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ),
+            SleepKey::Deliver(m, to) => {
+                let addressee = 2 << 62 | u64::from(replica(to));
+                payload(m).wrapping_add(addressee.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            }
         };
         sum.wrapping_add(mix64(word))
     })
