@@ -392,11 +392,6 @@ struct Dfs<'a> {
     fps: Vec<u64>,
     /// Cached [`inflight_fingerprint`], refreshed only after flush/deliver.
     inflight_fp: u64,
-    /// [`payload_content_hash`] of each transcript message, by message id:
-    /// extended after a flush, truncated with the transcript on undo, so
-    /// a payload is hashed once however many sleep sets name it. Kept only
-    /// under POR with dedup, the one configuration whose keys read it.
-    msg_hashes: Vec<u64>,
     /// Symmetry caches; `Some` only when [`symmetry_applies`].
     sym: Option<Symmetry>,
     /// Shared cross-unit dedup table (parallel engine only). Probed
@@ -760,8 +755,7 @@ impl Symmetry {
     /// renamed sleep set). The state vector under π places machine `old`'s
     /// renamed fingerprint at position `π(old)`, so π-related global
     /// states — and their π-related sleep contexts — collapse to one key.
-    /// `msg_hashes` is the walker's [`Dfs::msg_hashes`].
-    fn canonical_key(&self, msg_hashes: &[u64], sleep: &[SleepKey]) -> u64 {
+    fn canonical_key(&self, sim: &Simulator, sleep: &[SleepKey]) -> u64 {
         let n = self.pinvs[0].len();
         let mut best = u64::MAX;
         for (p, perm) in self.perms.iter().enumerate() {
@@ -774,8 +768,9 @@ impl Symmetry {
                 sleep,
                 |r| perm[r as usize],
                 |m| {
+                    let ck = payload_content_hash(&sim.execution().message(m).payload);
                     self.payload_cache
-                        .get(&msg_hashes[m.index()])
+                        .get(&ck)
                         .expect("sleeping message was in flight, hence cached")[p]
                 },
             )
@@ -797,7 +792,7 @@ impl<'a> Dfs<'a> {
         check: &'a mut dyn FnMut(&Simulator) -> bool,
         obs: &'a mut dyn Observer,
     ) -> Dfs<'a> {
-        let mut dfs = Dfs {
+        Dfs {
             config,
             check,
             obs,
@@ -811,7 +806,6 @@ impl<'a> Dfs<'a> {
                 .map(|r| sim.machine(ReplicaId::new(r as u32)).state_fingerprint())
                 .collect(),
             inflight_fp: inflight_fingerprint(sim),
-            msg_hashes: Vec::new(),
             sym: symmetry_applies(config, sim).then(|| Symmetry::new(sim, config)),
             shared: None,
             split: usize::MAX,
@@ -819,18 +813,6 @@ impl<'a> Dfs<'a> {
             hits: 0,
             misses: 0,
             done: false,
-        };
-        dfs.sync_msg_hashes(sim);
-        dfs
-    }
-
-    /// Hashes the messages the transcript gained since the last call into
-    /// [`msg_hashes`](Self::msg_hashes) (POR with dedup only).
-    fn sync_msg_hashes(&mut self, sim: &Simulator) {
-        if self.config.por && self.config.dedup {
-            let new = &sim.execution().messages()[self.msg_hashes.len()..];
-            self.msg_hashes
-                .extend(new.iter().map(|m| payload_content_hash(&m.payload)));
         }
     }
 
@@ -852,13 +834,18 @@ impl<'a> Dfs<'a> {
     /// fingerprint and equal digest filter the same child multiset and so
     /// root equally-sized subtrees, which is what makes memoised counts
     /// reusable under POR.
-    fn dedup_key(&self, sleep: &[SleepKey]) -> u64 {
+    fn dedup_key(&self, sim: &Simulator, sleep: &[SleepKey]) -> u64 {
         if let Some(sym) = &self.sym {
-            return sym.canonical_key(&self.msg_hashes, sleep);
+            return sym.canonical_key(sim, sleep);
         }
         let g = global_fingerprint(&self.fps, self.inflight_fp);
         if self.config.por {
-            g ^ mix64(sleep_digest(sleep, |r| r, |m| self.msg_hashes[m.index()]))
+            let digest = sleep_digest(
+                sleep,
+                |r| r,
+                |m| payload_content_hash(&sim.execution().message(m).payload),
+            );
+            g ^ mix64(digest)
         } else {
             g
         }
@@ -931,7 +918,6 @@ impl<'a> Dfs<'a> {
                 self.fps[touched.index()] = sim.machine(touched).state_fingerprint();
                 if saves_inflight {
                     self.inflight_fp = inflight_fingerprint(sim);
-                    self.sync_msg_hashes(sim);
                 }
                 if let Some(sym) = self.sym.as_mut() {
                     saved_sym = Some((
@@ -946,7 +932,7 @@ impl<'a> Dfs<'a> {
             }
             self.prefix.push(action);
             if self.config.dedup {
-                let fp = self.dedup_key(&level.child);
+                let fp = self.dedup_key(sim, &level.child);
                 let left = self.config.depth - self.prefix.len();
                 let cached = self
                     .memo
@@ -983,7 +969,6 @@ impl<'a> Dfs<'a> {
                 sym.ren_inflight = infl;
             }
             sim.undo_step(undo);
-            self.msg_hashes.truncate(sim.execution().messages().len());
             if self.config.por {
                 let key = level.keys[ci];
                 let at = level.done.binary_search(&key).unwrap_or_else(|at| at);
