@@ -134,6 +134,32 @@ fn dedup_and_symmetry_tables_keep_their_pinned_counters_at_depth_4() {
     }
 }
 
+#[test]
+fn por_dedup_key_tells_sleeping_deliveries_apart_by_payload_at_depth_6() {
+    // Three replicas at depth 6 reach the same global state with sleep
+    // sets that differ only in which of two in-flight copies to one
+    // addressee sleeps. A sleep digest that mixed a `Deliver` entry's
+    // addressee but not its payload would alias them and score two extra
+    // sequential hits. Literals from the `BTreeMap`-and-SipHash explorer.
+    let config = ExhaustiveConfig {
+        store_config: StoreConfig::new(3, 1),
+        ops: vec![Op::Write(Value::new(0)), Op::Read],
+        depth: 6,
+        max_schedules: usize::MAX,
+        dedup: true,
+        por: true,
+        symmetry: false,
+    };
+    let counters = |r: ExhaustiveReport| (r.schedules, r.dedup_hits, r.dedup_misses);
+    let report = explore_all(&DvvMvrStore, &config, &mut |_| true);
+    assert_eq!(counters(report), (10064, 1079, 5348));
+    for threads in [1, 2] {
+        let report =
+            explore_all_parallel(&DvvMvrStore, &config, threads, &|_| true, &mut NullObserver);
+        assert_eq!(counters(report), (10064, 1270, 7225), "threads={threads}");
+    }
+}
+
 /// `DvvMvrStore` whose machines count the `state_bits()` calls made on
 /// them; every other method forwards.
 struct SizedStore(Arc<AtomicUsize>);
