@@ -26,7 +26,7 @@ if [ "${1:-}" = "--mutants" ]; then
     export CARGO_TARGET_DIR="$PWD/target/mutants/target"
     export GIT_CEILING_DIRECTORIES="$PWD/target/mutants"
     start=$(date +%s)
-    if ! (cd "$tree" && cargo test -q --locked --offline -p haec-core -p haec --no-run); then
+    if ! (cd "$tree" && cargo test -q --locked --offline -p haec-core -p haec-sim -p haec --no-run); then
         echo "ci: the unmutated copy under $tree does not build" >&2
         exit 1
     fi
@@ -95,6 +95,12 @@ echo "== witness-log oracle properties at 2048 cases (the abstract execution kep
 # in the new word; at 2048 each happens hundreds of times.
 HAEC_PROP_CASES=2048 cargo test -q --release --locked --offline \
     -p haec-core -p haec-sim --lib witness_log_agrees_with_the_batch_builder
+
+echo "== memo oracle property at 2048 cases (the explorer's flat dedup table agrees with a BTreeMap model under random gets and first-write-wins inserts: equal fingerprints at different depths, keys sharing the part and start-slot bits, growth across several doublings, usize::MAX depths; the barrier-merge iterator yields every entry once; release build; default seed, so a failure replays) =="
+# At 64 cases a shared-bits probe run rarely crosses more than four
+# doublings at one depth; at 2048 the longest runs cross five or six.
+HAEC_PROP_CASES=2048 cargo test -q --release --locked --offline \
+    -p haec-sim --lib memo_agrees_with_a_btreemap_model
 
 echo "== entrant-only scan property at 2048 cases (StreamChecker's causal and session scans, which test only the events that enter P(t) at t, keep the same running first violations after every push as full scans over pvec and pending, and in exact mode as the batch checkers; release build; default seed, so a failure replays) =="
 # Random dot subsets, advancing prefixes with holes and single recent dots
