@@ -61,16 +61,17 @@ impl Part {
         (slot.count != 0).then_some(slot.count)
     }
 
+    /// Stores `count` for `fp` unless `fp` is present. Room for one more
+    /// entry is made first, so a repeated key can double a part early.
     fn insert(&mut self, fp: u64, count: usize) {
-        if !self.slots.is_empty() && self.slots[self.find(fp)].count != 0 {
-            return;
-        }
         if (self.len + 1) * 4 > self.slots.len() * 3 {
             self.grow();
         }
         let i = self.find(fp);
-        self.slots[i] = Slot { fp, count };
-        self.len += 1;
+        if self.slots[i].count == 0 {
+            self.slots[i] = Slot { fp, count };
+            self.len += 1;
+        }
     }
 
     /// Doubles the slot array and re-places every entry.
@@ -178,7 +179,7 @@ mod tests {
             &vecs(op, 0..4000),
             |ops| {
                 let mut memo = Memo::default();
-                let mut model: BTreeMap<(u64, usize), usize> = BTreeMap::new();
+                let mut model = BTreeMap::new();
                 prop_assert_eq!(memo.get(0, 0), None);
                 prop_assert_eq!(memo.get(u64::MAX, usize::MAX), None);
                 for (i, &(pick, raw, depth, count)) in ops.iter().enumerate() {

@@ -40,6 +40,15 @@
 //! `DESIGN.md` §exploration-engine for the soundness argument and its
 //! caveat; the differential suite pins the equivalence empirically.
 //!
+//! The memo is a flat open-addressed table per remaining depth, in parts
+//! chosen by the fingerprint's top bits that each double on their own
+//! (`memo.rs`): one linear probe per lookup, no capacity, no dropped
+//! entry, and keys compared in full. The parallel engine's shared table is
+//! the same type. Under POR the key also folds in a digest of the node's
+//! sleep set — a wrapping sum of one fixed 64-bit mix per entry, so it
+//! needs no hasher, buffer or sort — and the sleep sets themselves live in
+//! per-depth buffers, so a child edge allocates nothing for them.
+//!
 //! ## Reductions
 //!
 //! Two further reductions shrink the tree itself (DESIGN.md §12):

@@ -19,8 +19,8 @@
 //!    table, a forked ([`ForkJoinObserver::fork`]) observer — and, with
 //!    dedup on, a **shared cross-unit dedup table** that workers probe
 //!    *read-only*: the walker's own memo type, a flat fingerprint table,
-//!    owned by the orchestrator and lent `&` to each level's workers. Between
-//!    levels — `par_map`'s scoped threads have joined, so no reader
+//!    owned by the orchestrator and lent `&` to each level's workers.
+//!    Between levels — `par_map`'s scoped threads have joined, so no reader
 //!    exists — the orchestrator adds every completed unit's memo entries
 //!    to it, in canonical unit order, first write wins, so the table a
 //!    level reads is a pure function of the config — never of worker
