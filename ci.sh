@@ -9,15 +9,35 @@ set -eu
 
 cd "$(dirname "$0")"
 
+# The clippy line, shared by the gate below and the mutation gate's clippy
+# target. Clippy sees the libraries, binaries and bench targets (a lib is
+# a bench target too, so its #[cfg(test)] modules are checked), each crate
+# under the disallowed-* bans of the clippy.toml nearest to it: the root
+# one, or crates/testkit's or crates/bench's relaxed subset. -D warnings
+# fails an unfulfilled #[expect]; the allow_attributes lints require every
+# suppression to be an #[expect] with a reason; ref_as_ptr and
+# borrow_as_ptr ban reading an address through a reference cast.
+# tests/ and examples/ are out of scope. Callers pass the package
+# selection (--workspace or -p <package>).
+clippy_line() {
+    cargo clippy --lib --bins --benches --locked --offline "$@" -- -D warnings \
+        -D clippy::allow_attributes -D clippy::allow_attributes_without_reason \
+        -D clippy::ref_as_ptr -D clippy::borrow_as_ptr
+}
+
 if [ "${1:-}" = "--mutants" ]; then
-    echo "== mutants (each tests/mutants/*.patch applied alone to a copy of the tree: the test its header names must fail; debug build, so overflow checks are on) =="
+    echo "== mutants (each tests/mutants/*.patch applied alone to a copy of the tree: the test or clippy ban its header names must fail; debug build, so overflow checks are on) =="
     # A patch's header names the package, the cargo test target and the
     # test-name filter expected to fail, run at the default property case
-    # count. A patch that no longer applies or no longer compiles is rot,
-    # and rot fails the gate like a survivor: whoever moved the code
-    # re-records the mutant or deletes it with the test it guarded. The
-    # copy and its build live under target/mutants; git apply runs with the
-    # repository out of sight, so the patch paths resolve in the copy.
+    # count. Target `clippy` instead runs the clippy line on the package,
+    # which must fail with the filter text in its output (the ban's own
+    # message, so an unrelated warning cannot kill the mutant); such a
+    # patch must still pass `cargo check`. A patch that no longer applies
+    # or no longer compiles is rot, and rot fails the gate like a
+    # survivor: whoever moved the code re-records the mutant or deletes it
+    # with the test it guarded. The copy and its build live under
+    # target/mutants; git apply runs with the repository out of sight, so
+    # the patch paths resolve in the copy.
     tree=target/mutants/tree
     rm -rf "$tree"
     mkdir -p "$tree"
@@ -30,7 +50,12 @@ if [ "${1:-}" = "--mutants" ]; then
         echo "ci: the unmutated copy under $tree does not build" >&2
         exit 1
     fi
+    if ! (cd "$tree" && clippy_line --workspace -q); then
+        echo "ci: the unmutated copy under $tree is not clippy-clean" >&2
+        exit 1
+    fi
     echo "unmutated build: $(($(date +%s) - start))s"
+    clippy_out="$PWD/target/mutants/clippy.out"
     failed=0
     for patch in "$PWD"/tests/mutants/*.patch; do
         name=$(basename "$patch" .patch)
@@ -43,8 +68,21 @@ if [ "${1:-}" = "--mutants" ]; then
             failed=1
             continue
         fi
+        if [ "$target" = clippy ]; then
+            if ! (cd "$tree" && cargo check -q --locked --offline -p "$pkg" --lib --bins --benches 2> /dev/null); then
+                verdict="ROT, no longer compiles"
+                failed=1
+            elif (cd "$tree" && clippy_line -p "$pkg" -q > "$clippy_out" 2>&1); then
+                verdict="SURVIVED"
+                failed=1
+            elif ! grep -qF -- "$filter" "$clippy_out"; then
+                verdict="SURVIVED (clippy failed without naming the filter)"
+                failed=1
+            else
+                verdict="killed"
+            fi
         # $target is two words or one: split on purpose.
-        if ! (cd "$tree" && cargo test -q --locked --offline -p "$pkg" $target --no-run 2> /dev/null); then
+        elif ! (cd "$tree" && cargo test -q --locked --offline -p "$pkg" $target --no-run 2> /dev/null); then
             verdict="ROT, no longer compiles"
             failed=1
         elif (cd "$tree" && cargo test -q --locked --offline -p "$pkg" $target "$filter" > /dev/null 2>&1); then
@@ -73,8 +111,16 @@ fi
 echo "== build (release, locked, offline) =="
 cargo build --release --locked --offline
 
-echo "== test (locked, offline) =="
-cargo test -q --workspace --locked --offline
+echo "== default-members (every workspace member is a default member, so the plain cargo test below, the tier-1 command, runs every crate's tests) =="
+meta=$(cargo metadata --format-version 1 --no-deps --locked --offline)
+ids() { printf '%s' "$meta" | sed "s/.*\"$1\":\[\([^]]*\)\].*/\1/" | tr ',' '\n' | sort; }
+[ "$(ids workspace_members)" = "$(ids workspace_default_members)" ] || {
+    echo "ci: a workspace member is missing from default-members in Cargo.toml" >&2
+    exit 1
+}
+
+echo "== test (the tier-1 command; locked, offline) =="
+cargo test -q --locked --offline
 
 echo "== corrupt-payload property at 2048 cases (no store panics or aborts on a corrupt payload, the engine-backed ones apply none of it; default seed, so a failure replays) =="
 # The 64-case default rarely lands noise on a count field; at 2048 cases
@@ -120,42 +166,20 @@ echo "== perfbench (outside the workspace: compile the frozen benchmark surface,
 # --locked: perfbench/Cargo.lock is generated, not committed.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== clippy (locked, offline, deny warnings) =="
-cargo clippy --workspace --locked --offline -- -D warnings
+echo "== clippy (the determinism bans of clippy.toml and every suppression an #[expect] with a reason; locked, offline, deny warnings) =="
+# A clippy.toml path that names no item is only a warning, even under
+# -D warnings, and a misspelt entry would lift its ban in silence.
+clippy_line --workspace 2> target/clippy.log || { cat target/clippy.log >&2; exit 1; }
+if grep -q 'does not refer to' target/clippy.log; then
+    cat target/clippy.log >&2
+    echo "ci: a clippy.toml path does not resolve" >&2
+    exit 1
+fi
 
 echo "== rustdoc (locked, offline, deny warnings: no dangling or private intra-doc link) =="
 # A renamed or removed entry point leaves [`old_name`] links behind in
 # module docs that no compiler pass reads; rustdoc is the one that does.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked --offline
-
-echo "== haec-lint (site bans on nondeterminism sources, deny mode, self-hosting) =="
-# The linter gates the whole workspace, bench targets and its own sources
-# included. The --json report is archived, run twice, and byte-compared:
-# the linter itself must be deterministic. Both runs together stay under
-# a 10s wall-clock budget — one token pass per file.
-mkdir -p target/lint
-lint_t0=$(date +%s)
-cargo run -q --release --locked --offline -p haec-lint -- --json > target/lint/report.json
-cargo run -q --release --locked --offline -p haec-lint -- --json > target/lint/report-again.json
-lint_t1=$(date +%s)
-cmp target/lint/report.json target/lint/report-again.json || {
-    echo "ci: haec-lint --json is not byte-identical across two runs" >&2
-    exit 1
-}
-if [ $((lint_t1 - lint_t0)) -ge 10 ]; then
-    echo "ci: haec-lint exceeded its 10s wall-clock budget ($((lint_t1 - lint_t0))s for two runs)" >&2
-    exit 1
-fi
-
-# Every lint the binary knows is documented: the catalog table in
-# DESIGN.md §7 names each one `--list` prints.
-for lint in $(cargo run -q --release --locked --offline -p haec-lint -- --list); do
-    sed -n '/^## 7\./,/^## 8\./p' DESIGN.md | grep -q "\`$lint\`" ||
-        { echo "ci: lint $lint is missing from DESIGN.md §7" >&2; exit 1; }
-done
-
-echo "== haec-lint fixtures (known-answer corpus) =="
-cargo test -q --locked --offline -p haec-lint --test fixtures > /dev/null
 
 echo "== report smoke (fixed seed, JSON must re-parse) =="
 cargo run -q --release --locked --offline -p haec-bench --bin report -- \

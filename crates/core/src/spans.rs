@@ -23,6 +23,11 @@
 //! compare. Collection is per-thread and re-entrant collectors simply nest:
 //! the innermost active collector receives the records.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the span timer is about measuring wall time; DESIGN.md §7"
+)]
+
 use std::cell::RefCell;
 use std::time::Instant;
 
@@ -82,6 +87,10 @@ pub fn collect<R>(f: impl FnOnce() -> R) -> (R, Vec<SpanRecord>) {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the collector's own tests read the records it returns"
+)]
 mod tests {
     use super::*;
 

@@ -221,7 +221,10 @@ impl ExhaustiveConfig {
 
 // Private alias so the default above can mention a write succinctly.
 use haec_model::Value;
-#[allow(non_snake_case)]
+#[expect(
+    non_snake_case,
+    reason = "reads as the tuple-struct constructor it stands in for"
+)]
 fn Value(v: u64) -> Value {
     Value::new(v)
 }

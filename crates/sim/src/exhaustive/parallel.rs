@@ -57,9 +57,10 @@
 //! budget so a failure the sequential engine would not have reached is not
 //! reported.
 //!
-//! This module is the one place in the workspace allowed to use
-//! `std::thread` — see `thread_exempt` in `haec-lint` and DESIGN.md §9 for
-//! the policy rationale — so every fan-out (this worker pool, the family
+//! This module is the one place in the deterministic crates allowed to use
+//! `std::thread` — `par_map` carries the workspace's one
+//! `#[expect(clippy::disallowed_methods)]` for it; see DESIGN.md §7 and §9
+//! for the policy rationale — so every fan-out (this worker pool, the family
 //! sweep of [`explore_family`](crate::scenario::explore_family),
 //! [`run_service_sweep`](crate::service::run_service_sweep)) goes through
 //! `par_map`.
@@ -68,6 +69,10 @@ use super::{symmetry_applies, Action, Dfs, ExhaustiveConfig, ExhaustiveReport, M
 use crate::obs::{ForkJoinObserver, Observer};
 use crate::simulator::{SimSnapshot, Simulator};
 use haec_model::StoreFactory;
+#[expect(
+    clippy::disallowed_types,
+    reason = "par_map's index claim and explore_all_parallel's cancellation bound; DESIGN.md §7"
+)]
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -91,6 +96,11 @@ const LEVEL_WIDTH: usize = 64;
 /// # Panics
 ///
 /// Panics if `threads` is zero — the crate's one thread-count contract.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the workspace's one fan-out: scoped workers claim indices from an atomic and results are placed by index; DESIGN.md §7"
+)]
 pub(crate) fn par_map<T: Sync, R: Send>(
     threads: usize,
     items: &[T],
@@ -219,6 +229,10 @@ fn explore_unit<O: ForkJoinObserver>(
 ///
 /// Panics if `config` fails [`ExhaustiveConfig::validate`] or `threads` is
 /// zero.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the earliest counterexample index, read only to skip units the canonical merge drops; DESIGN.md §7"
+)]
 pub fn explore_all_parallel<O: ForkJoinObserver + Send>(
     factory: &dyn StoreFactory,
     config: &ExhaustiveConfig,
@@ -288,8 +302,8 @@ pub fn explore_all_parallel<O: ForkJoinObserver + Send>(
         // SeqCst throughout: these atomics decide which units are skipped
         // and which counterexample cancels the sweep. The canonical-order
         // merge makes the *results* thread-invariant either way, but the
-        // determinism gate (relaxed-atomic) insists decision inputs are
-        // totally ordered rather than argued about.
+        // determinism contract wants decision inputs totally ordered
+        // rather than argued about.
         results.extend(par_map(threads, level, |i, cell| {
             let i = start + i;
             if earliest_cex.load(Ordering::SeqCst) < i {

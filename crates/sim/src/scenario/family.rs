@@ -172,6 +172,10 @@ mod tests {
     use crate::scenario::{concurrent_write_pair, heal_before_quiesce, ScenarioFilter};
     use haec_core::SpecKind;
     use haec_stores::DvvMvrStore;
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a test counter of predicate calls, read after the sweep"
+    )]
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// The sweep on one thread with nothing observing.
@@ -219,6 +223,10 @@ mod tests {
         // of them (no early exit), and the counterexample is member 0.
         let family = concurrent_write_pair(SpecKind::Mvr, 3);
         let members = family.iter_to_depth(FamilyConfig::default().depth);
+        #[expect(
+            clippy::disallowed_types,
+            reason = "a test counter of predicate calls, read after the sweep"
+        )]
         let seen = AtomicUsize::new(0);
         let report = sweep(&FamilyConfig::default(), "cwp", &family, &|_| {
             seen.fetch_add(1, Ordering::SeqCst);

@@ -250,7 +250,7 @@ mod tests {
             !f.accepts(&[start.clone(), Pat::Quiesce]),
             "quiesce inside window"
         );
-        assert!(!f.accepts(&[start.clone()]), "window left open");
+        assert!(!f.accepts(std::slice::from_ref(&start)), "window left open");
         assert!(
             !f.accepts(&[start.clone(), Pat::PartitionHeal, start.clone()]),
             "reopened window left open"
@@ -258,7 +258,7 @@ mod tests {
         // Quiesce-while-open is permanently dead; an open window needs
         // one more pattern, a missing window needs two.
         assert!(f.dead(&[start.clone(), Pat::Quiesce], 100));
-        assert!(f.dead(&[start.clone()], 0));
+        assert!(f.dead(std::slice::from_ref(&start), 0));
         assert!(!f.dead(&[start], 1));
         assert!(f.dead(&[], 1));
         assert!(!f.dead(&[], 2));

@@ -479,7 +479,10 @@ impl Driver<'_> {
     /// Sends one wire copy `origin → dst`, drawing drop / duplicate /
     /// delay faults, and attributes its bits exactly: payload bits to the
     /// carried shards, framing to the envelope overhead.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one wire copy is its route, kind, groups, framing, send time and fault flag; a struct would exist only to carry them here"
+    )]
     fn send_copy(
         &mut self,
         origin: ReplicaId,
@@ -600,7 +603,10 @@ impl Driver<'_> {
     ///
     /// Panics, naming the store, shard, replica and dot, if the witness
     /// names a replica the run does not have.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one observed operation is its shard, step, replica, object, op, dot and outcome, each read separately"
+    )]
     fn observe(
         &mut self,
         shard: usize,

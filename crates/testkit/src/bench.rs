@@ -17,6 +17,11 @@
 //! * `--warmup N` — warmup batches per benchmark (default 3)
 //! * `--list` — print benchmark ids without running them
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the micro-bench harness is about measuring wall time; DESIGN.md §7"
+)]
+
 use std::time::Instant;
 
 /// Summary statistics for one benchmark, in nanoseconds per call.

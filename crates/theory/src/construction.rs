@@ -110,7 +110,7 @@ pub fn construct(factory: &dyn StoreFactory, a: &AbstractExecution) -> Construct
         let ev = a.event(e);
         let target = ev.replica;
         // (1) Deliver the messages of visible updates, in H order.
-        #[allow(clippy::needless_range_loop)] // e2 indexes A and msg_of alike
+        #[expect(clippy::needless_range_loop, reason = "e2 indexes A and msg_of alike")]
         for e2 in 0..e {
             if !a.sees(e2, e) || a.event(e2).replica == target {
                 continue;

@@ -73,7 +73,7 @@ pub fn make_revealing(a: &AbstractExecution) -> RevealingExecution {
     let mut b = AbstractExecutionBuilder::new();
     let mut new_index = vec![0usize; a.len()];
     let mut read_of_write: Vec<(usize, usize)> = Vec::new(); // (write old ix, read new ix)
-    #[allow(clippy::needless_range_loop)] // i indexes both A and new_index
+    #[expect(clippy::needless_range_loop, reason = "i indexes both A and new_index")]
     for i in 0..a.len() {
         let e = a.event(i);
         if matches!(e.op, Op::Write(_)) {
@@ -88,7 +88,7 @@ pub fn make_revealing(a: &AbstractExecution) -> RevealingExecution {
     }
     // Mirror edges for each inserted read.
     for &(w, r_new) in &read_of_write {
-        #[allow(clippy::needless_range_loop)] // e indexes both A and new_index
+        #[expect(clippy::needless_range_loop, reason = "e indexes both A and new_index")]
         for e in 0..a.len() {
             if e == w {
                 continue;

@@ -67,37 +67,6 @@ fn different_seeds_different_schedules() {
 }
 
 #[test]
-fn every_crate_policy_denies_hash_collections() {
-    // Ordered `std` collections are the only sanctioned spelling and the
-    // `nondeterministic-collection` ban is what enforces it, so the ban
-    // must reach every crate: the directories under `crates/` as they are
-    // on disk, plus the root package. A new crate, or a policy edit that
-    // opts one out, fails here.
-    use haec_lint::{crate_key, lint_source, Lint, Policy};
-
-    let crates_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
-    let mut paths = vec!["src/x.rs".to_owned()];
-    for entry in std::fs::read_dir(crates_dir).expect("crates/ is readable") {
-        let entry = entry.expect("crates/ entry");
-        if entry.path().is_dir() {
-            let name = entry.file_name().into_string().expect("utf-8 crate name");
-            paths.push(format!("crates/{name}/src/x.rs"));
-        }
-    }
-    assert!(paths.len() > 1, "no crate found under crates/");
-    for path in paths {
-        let key = crate_key(&path);
-        assert!(
-            Policy::for_crate(key).denies(Lint::NondeterministicCollection),
-            "{key} is opted out of the hash-collection ban"
-        );
-        let found = lint_source(&path, "use std::collections::HashMap;");
-        assert_eq!(found.len(), 1, "{path}: {found:?}");
-        assert_eq!(found[0].lint, Lint::NondeterministicCollection, "{path}");
-    }
-}
-
-#[test]
 fn report_json_is_byte_identical_across_same_seed_runs() {
     // The structured run report — the same path `report --json` drives —
     // must serialize byte-identically for the same (store, config, seed).
@@ -253,12 +222,12 @@ fn workload_stream_is_deterministic_standalone() {
 
 #[test]
 fn parallel_counterexample_is_thread_invariant() {
-    // Regression for the `Relaxed` atomics `haec-lint` found in the
-    // parallel explorer's worker loop (`relaxed-atomic` bans them
-    // outright now): the unit claim / cancellation atomics use `SeqCst`,
-    // and the surviving counterexample must be the sequential engine's
-    // *first* one at every thread count — which worker happened to fail
-    // first may not influence which schedule is reported.
+    // Regression for the `Relaxed` atomics the determinism lint found in
+    // the parallel explorer's worker loop: the unit claim / cancellation
+    // atomics use `SeqCst`, and the surviving counterexample must be the
+    // sequential engine's *first* one at every thread count — which
+    // worker happened to fail first may not influence which schedule is
+    // reported.
     use haec::sim::exhaustive::{explore_all, explore_all_parallel, ExhaustiveConfig};
     use haec::sim::obs::NullObserver;
 
@@ -355,30 +324,4 @@ fn service_report_json_is_byte_identical_across_runs_and_sweep_threads() {
         "sweep cell vs run_service"
     );
     assert_eq!(reports_json(&solo[2..]), baseline, "position in the sweep");
-}
-
-#[test]
-fn workspace_is_lint_clean_and_lint_json_is_byte_identical() {
-    // The determinism contract applies to the linter too: the workspace
-    // gates on zero unsuppressed findings, and the `--json` report —
-    // which CI archives and byte-compares across consecutive runs — must
-    // serialize identically for an unchanged tree.
-    use haec_lint::lint_workspace;
-
-    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let a = lint_workspace(&root).expect("workspace scan");
-    assert!(
-        a.is_clean(),
-        "unsuppressed lint findings:\n{:#?}",
-        a.diagnostics
-            .iter()
-            .filter(|d| !d.suppressed)
-            .collect::<Vec<_>>()
-    );
-    let b = lint_workspace(&root).expect("workspace scan");
-    assert_eq!(
-        a.to_json_string().as_bytes(),
-        b.to_json_string().as_bytes(),
-        "lint JSON report is not byte-identical across two runs"
-    );
 }
