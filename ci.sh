@@ -185,44 +185,22 @@ echo "== report smoke (fixed seed, JSON must re-parse) =="
 cargo run -q --release --locked --offline -p haec-bench --bin report -- \
     --json --check --seed 42 > /dev/null
 
-echo "== explore smoke (all engines incl. par-2 agree at depth 3; reduced engines match dfs-dedup verdicts on all seven stores) =="
-cargo bench -q --locked --offline -p haec-bench --bench explore -- \
-    --smoke --threads 2 --por --symmetry > /dev/null
-
-echo "== scenario smoke (fixture families enumerate, family sweep seq==par-2) =="
-cargo bench -q --locked --offline -p haec-bench --bench scenario -- \
-    --smoke --threads 2 > /dev/null
-
-echo "== stream smoke (online checkers: sublinear residency, lossless feed clean) =="
-cargo bench -q --locked --offline -p haec-bench --bench stream -- \
-    --smoke > /dev/null
-
-echo "== service smoke (sharded batched service: exact wire accounting, run-to-run byte-identical JSON) =="
-# Two runs, byte-compared: --smoke zeroes the wall-clock fields, so any
-# difference means the service pipeline (sharding, batching, open-loop
-# workload, reconciliation, observers) picked up nondeterminism.
-mkdir -p target/service
-cargo bench -q --locked --offline -p haec-bench --bench service -- \
-    --smoke --json > target/service/smoke.json
-cargo bench -q --locked --offline -p haec-bench --bench service -- \
-    --smoke --json > target/service/smoke-again.json
-cmp target/service/smoke.json target/service/smoke-again.json || {
-    echo "ci: service --smoke --json is not byte-identical across two runs" >&2
-    exit 1
-}
-
 echo "== fmt =="
 cargo fmt --check
 
-echo "== non-test lines per crate (informational, gates nothing: lines above each file's first #[cfg(test)] under crates/*/src, the count simplicity PRs quote before and after) =="
+echo "== non-test lines per crate (informational, gates nothing: lines above each file's first #[cfg(test)] under crates/*/src, per crate and summed, then the same count over the bench targets under crates/*/benches, outside the sum; the counts simplicity PRs quote before and after) =="
+non_test() {
+    find "$@" -name '*.rs' -exec awk \
+        'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }' {} +
+}
 total=0
 for src in crates/*/src; do
-    n=$(find "$src" -name '*.rs' -exec awk \
-        'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }' {} +)
+    n=$(non_test "$src")
     printf '%-16s %6d\n' "${src%/src}" "$n"
     total=$((total + n))
 done
 printf '%-16s %6d\n' workspace "$total"
+printf '%-16s %6d\n' 'crates/*/benches' "$(non_test crates/*/benches)"
 
 echo "== pub fns nobody names (informational, gates nothing: a pub fn under crates/*/src whose name occurs exactly once in crates src tests examples perfbench/src — its own definition; the list the no-caller audits start from, and it misses a name that is also defined or mentioned elsewhere) =="
 find crates src tests examples perfbench/src -name '*.rs' -exec cat {} + |

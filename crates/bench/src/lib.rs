@@ -2,8 +2,8 @@
 //!
 //! The experiment harness: every figure of the paper (and both theorems)
 //! regenerated as a printable table. The `experiments` binary drives these
-//! functions; the Criterion benches in `benches/` measure the same code
-//! paths for performance.
+//! functions; the harness-off micro-benches in `benches/` time the same
+//! code paths.
 //!
 //! Experiment index (see DESIGN.md / EXPERIMENTS.md):
 //!
@@ -656,6 +656,7 @@ pub fn sessions_table(seeds: u64) -> Table {
         "{:<18} {:>16} {:>10}",
         "store", "guarantees held", "runs"
     ));
+    let mut rows = Vec::new();
     for factory in all_factories() {
         let spec = spec_for(factory.name());
         let mut held = 0;
@@ -678,10 +679,37 @@ pub fn sessions_table(seeds: u64) -> Table {
             }
         }
         t.row(format!("{:<18} {:>16} {:>10}", factory.name(), held, seeds));
+        rows.push((factory.name().to_owned(), held));
     }
-    t.row("Causal stores provide both guarantees on every run; the eager LWW,".into());
-    t.row("bounded and sequenced stores lose them on some schedules.".into());
+    for line in sessions_footer(&rows, seeds) {
+        t.row(line);
+    }
     t
+}
+
+/// E11's footer, computed from its `(store, runs that held)` rows: how
+/// many stores held both guarantees on all `runs`, and which did not.
+fn sessions_footer(rows: &[(String, u64)], runs: u64) -> [String; 2] {
+    let lost: Vec<&str> = rows
+        .iter()
+        .filter(|(_, held)| *held < runs)
+        .map(|(name, _)| name.as_str())
+        .collect();
+    [
+        format!(
+            "{} of {} stores held both guarantees on every run.",
+            rows.len() - lost.len(),
+            rows.len()
+        ),
+        format!(
+            "Lost on some schedules: {}.",
+            if lost.is_empty() {
+                "none".to_owned()
+            } else {
+                lost.join(", ")
+            }
+        ),
+    ]
 }
 
 /// E13 — empirical consistency classification (Theorem 6's question,
@@ -735,24 +763,6 @@ pub fn all_experiments() -> Vec<Table> {
         cost_table(3),
         classify_table(6),
     ]
-}
-
-/// Parses the value of a bench's `--threads` flag: a positive integer.
-/// The parallel engines assert a nonzero thread count, so the CLI rejects
-/// 0 (and anything unparseable) here, with a usage message, instead of
-/// panicking inside the engine.
-///
-/// # Errors
-///
-/// Returns the usage message when the value is missing, not a number, or 0.
-pub fn threads_arg(value: Option<String>) -> Result<usize, String> {
-    match value.as_deref().map(str::parse::<usize>) {
-        Some(Ok(n)) if n > 0 => Ok(n),
-        _ => Err(format!(
-            "usage: --threads N, with N a positive integer (got {})",
-            value.as_deref().unwrap_or("nothing")
-        )),
-    }
 }
 
 #[cfg(test)]
@@ -817,12 +827,44 @@ mod tests {
     }
 
     #[test]
-    fn threads_arg_accepts_positive_integers_only() {
-        assert_eq!(threads_arg(Some("4".into())), Ok(4));
-        for bad in [Some("0".to_owned()), Some("two".to_owned()), None] {
-            let msg = threads_arg(bad).unwrap_err();
-            assert!(msg.starts_with("usage: --threads N"), "{msg}");
+    fn sessions_footer_names_exactly_the_stores_that_lost_a_guarantee() {
+        let t = sessions_table(2);
+        let mut rows = Vec::new();
+        let mut footer = String::new();
+        for line in &t.lines[1..] {
+            match line.split_whitespace().collect::<Vec<_>>()[..] {
+                [name, held, "2"] => rows.push((name.to_owned(), held.parse::<u64>().unwrap())),
+                _ => {
+                    footer.push_str(line);
+                    footer.push(' ');
+                }
+            }
         }
+        assert_eq!(rows.len(), all_factories().len());
+        let (_, lost) = footer
+            .split_once("Lost on some schedules: ")
+            .expect("footer names the losers");
+        let named: Vec<&str> = lost.trim_end().trim_end_matches('.').split(", ").collect();
+        let losers: Vec<&str> = rows
+            .iter()
+            .filter(|(_, held)| *held < 2)
+            .map(|(name, _)| name.as_str())
+            .collect();
+        assert!(!losers.is_empty(), "the bounded store loses them");
+        assert_eq!(named, losers, "{footer}");
+
+        let rows = [("a".to_owned(), 3), ("b".to_owned(), 2)];
+        assert_eq!(
+            sessions_footer(&rows, 3),
+            [
+                "1 of 2 stores held both guarantees on every run.",
+                "Lost on some schedules: b."
+            ]
+        );
+        assert_eq!(
+            sessions_footer(&rows[..1], 3)[1],
+            "Lost on some schedules: none."
+        );
     }
 
     #[test]

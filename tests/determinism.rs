@@ -324,4 +324,38 @@ fn service_report_json_is_byte_identical_across_runs_and_sweep_threads() {
         "sweep cell vs run_service"
     );
     assert_eq!(reports_json(&solo[2..]), baseline, "position in the sweep");
+
+    // The fault-free write-repair sweep over 1, 2, 4 and 8 shards: each
+    // report is byte-identical across two runs, its wire accounting is
+    // exact, every op lands on one shard, and the run converges.
+    for n_shards in [1, 2, 4, 8] {
+        let cfg = ServiceRunConfig {
+            service: ServiceConfig {
+                n_replicas: 3,
+                n_shards,
+                n_objects: 256,
+                vnodes: 32,
+                reconciliation: Reconciliation::WriteRepair,
+            },
+            ops: 2000,
+            n_clients: 100,
+            seed: 0xBEEF_CAFE,
+            ..ServiceRunConfig::default()
+        };
+        let report = run_service(&DvvMvrStore, &cfg);
+        assert_eq!(
+            report.to_json_string(),
+            run_service(&DvvMvrStore, &cfg).to_json_string(),
+            "{n_shards} shards: two runs"
+        );
+        let shard_bits: u64 = report.per_shard.iter().map(|s| s.payload_bits).sum();
+        assert_eq!(
+            report.message_bits,
+            shard_bits + report.envelope_overhead_bits,
+            "{n_shards} shards: exact wire accounting"
+        );
+        let shard_ops: u64 = report.per_shard.iter().map(|s| s.ops).sum();
+        assert_eq!(shard_ops, report.ops, "{n_shards} shards: routing");
+        assert!(report.converged, "{n_shards} shards: converges");
+    }
 }

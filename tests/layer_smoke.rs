@@ -365,23 +365,77 @@ fn lossy_delta_feed(seed: u64, events: usize) -> Vec<(ReplicaId, ObjectId, bool,
     feed
 }
 
+/// The quiescing feed of perfbench's `stream-*` workloads without their
+/// seed: event `t` runs at replica `t % 3`, each replica cycles update,
+/// update, read, the object alternates between two every three events, a
+/// dot becomes visible elsewhere 24 events after it was issued, and each
+/// witness is the delta of newly visible foreign dots. With
+/// `lose_every = k`, every `k`-th update is never delivered.
+fn quiescing_delta_feed(
+    events: usize,
+    lose_every: usize,
+) -> Vec<(ReplicaId, ObjectId, bool, Vec<Dot>)> {
+    const N: usize = 3;
+    const LAG: usize = 24;
+    let mut delivered: Vec<(usize, Dot)> = Vec::new();
+    let mut cursor = [0usize; N];
+    let mut issued = [0u32; N];
+    let mut updates = 0usize;
+    let mut feed = Vec::with_capacity(events);
+    for t in 0..events {
+        let r = t % N;
+        let replica = ReplicaId::new(r as u32);
+        let is_update = (t / N) % 3 != 2;
+        let obj = ObjectId::new((t / 3) as u32 % 2);
+        let mut visible = Vec::new();
+        while cursor[r] < delivered.len() && delivered[cursor[r]].0 + LAG < t {
+            let d = delivered[cursor[r]].1;
+            if d.replica != replica {
+                visible.push(d);
+            }
+            cursor[r] += 1;
+        }
+        if is_update {
+            issued[r] += 1;
+            updates += 1;
+            if lose_every == 0 || !updates.is_multiple_of(lose_every) {
+                delivered.push((t, Dot::new(replica, issued[r])));
+            }
+        }
+        feed.push((replica, obj, is_update, visible));
+    }
+    feed
+}
+
 #[test]
 fn streaming_checker_keeps_its_pinned_per_push_stats_on_a_lossy_feed() {
     // One case of `stream_differential`'s per-push statistics pins: the
     // live, pending, retired and forced counts, their peaks and the byte
     // estimate after every push, exact and with a 64-event window. An
     // event that retires a push early or late changes the hash even where
-    // the feed ends the same.
-    let feed = lossy_delta_feed(0x5EED_0040, 2000);
-    for (gc_window, want) in [(None, 0xa22bdd7c50d2a70b), (Some(64), 0xe924ec0aca5e9e41)] {
+    // the feed ends the same. The quiescing feed is pinned the same way at
+    // 20 000 events, lossless under exact GC and with every 500th update
+    // lost under a 512-event window, with the regimes it is built for:
+    // residency stays under a twentieth of the feed, the lossless run
+    // forces nothing and holds every verdict.
+    let lossy = lossy_delta_feed(0x5EED_0040, 2000);
+    let quiescing = quiescing_delta_feed(20_000, 0);
+    let quiescing_lossy = quiescing_delta_feed(20_000, 500);
+    // (feed, window, gc_window, quiesces, pinned hash)
+    for (feed, window, gc_window, quiesces, want) in [
+        (&lossy, 32, None, false, 0xa22bdd7c50d2a70b),
+        (&lossy, 32, Some(64), false, 0xe924ec0aca5e9e41),
+        (&quiescing, 96, None, true, 0x7ff087e93b6a541b),
+        (&quiescing_lossy, 96, Some(512), true, 0x372f157fe0c21d9a),
+    ] {
         let mut checker = StreamChecker::new(StreamConfig {
             n_replicas: 3,
-            window: 32,
+            window,
             gc_window,
         })
         .expect("valid stream config");
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for (replica, obj, is_update, visible) in &feed {
+        for (replica, obj, is_update, visible) in feed {
             checker
                 .push(*replica, *obj, *is_update, visible)
                 .expect("valid push");
@@ -389,11 +443,21 @@ fn streaming_checker_keeps_its_pinned_per_push_stats_on_a_lossy_feed() {
                 hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
             }
         }
+        checker.sweep();
+        let stats = checker.stats();
         assert_eq!(
-            checker.stats().forced_retired > 0,
+            stats.forced_retired > 0,
             gc_window.is_some(),
             "{gc_window:?}"
         );
+        if quiesces {
+            assert!(stats.peak_live * 20 < stats.events, "{stats:?}");
+            if gc_window.is_none() {
+                assert_eq!(checker.causal(), Ok(()));
+                assert_eq!(checker.eventual(), Ok(()));
+                assert_eq!(checker.sessions(), Ok(()));
+            }
+        }
         assert_eq!(
             hash, want,
             "{gc_window:?}: some push changed its statistics"
